@@ -18,20 +18,33 @@ Implements the BS-ISA's architectural semantics (paper §2/§4.1):
 With ``predictor=None`` prediction is perfect: the executor silently
 resolves the fault chain and fetches the correct variant directly, so no
 faults fire and no squashed units are emitted (Figure 4's configuration).
+
+The trace is recorded straight into a
+:class:`~repro.sim.packed.PackedTrace`: each block is decoded once per
+capture (:mod:`repro.exec.opsem`), its static columns are appended
+whole, and a silently resolved variant's columns are rolled back while
+its uids stay consumed, because ``op_uid`` is part of the trace bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ExecutionError
 from repro.exec.memory import Memory, STACK_BASE
-from repro.exec.trace import OP_LATENCY, DynOp, FetchUnit
+from repro.exec.opsem import (
+    BAD, BIN, BINI, CALL, FAULT, HALT, JMP, LOAD, MOV, MOVI, OUT, RET,
+    SELECT, STORE, TRAP, UNARY, decode_run,
+)
+from repro.exec.trace import F_ATOMIC, F_MISPREDICT, F_SQUASHED, FetchUnit
 from repro.isa.opcodes import Opcode
+from repro.isa.operation import MachineOp
 from repro.isa.program import AtomicBlock, BlockProgram
 from repro.isa.registers import RA, SP
-from repro.exec.opsem import effective_address, eval_op
+
+if TYPE_CHECKING:
+    from repro.sim.packed import PackedTrace
 
 _DEFAULT_OP_LIMIT = 500_000_000
 
@@ -66,31 +79,27 @@ class BlockStats:
         return self.trap_mispredicts + self.fault_mispredicts
 
 
-class _BlockResult:
-    __slots__ = (
-        "rbuf", "sbuf", "obuf", "lwriter", "lstore", "dynops",
-        "fault_index", "fault_target", "next_addr", "trap_outcome", "halted",
-        "n_loads", "n_stores",
-    )
-
-    def __init__(self):
-        self.rbuf: dict[int, int | float] = {}
-        self.sbuf: dict[int, int | float] = {}
-        self.obuf: list = []
-        self.lwriter: dict[int, int] = {}
-        self.lstore: dict[int, int] = {}
-        self.dynops: list[DynOp] | None = None
-        self.fault_index: int | None = None
-        self.fault_target: int | None = None
-        self.next_addr: int | None = None
-        self.trap_outcome: bool | None = None
-        self.halted = False
-        self.n_loads = 0
-        self.n_stores = 0
+def _control(op: MachineOp, index: int) -> tuple:
+    """Decoded tuple of a BS-ISA control op (see opsem)."""
+    oc = op.opcode
+    if oc is Opcode.FAULT:
+        return (FAULT, None, op.srcs, bool(op.imm), None, (index, op.taddr))
+    if oc is Opcode.TRAP:
+        return (TRAP, None, op.srcs, None, None, None)
+    if oc is Opcode.CALL:
+        return (CALL, RA, op.srcs, op.taddr2, None, op.taddr)
+    if oc is Opcode.RET:
+        return (RET, None, op.srcs, None, None, None)
+    if oc is Opcode.JMP:
+        return (JMP, None, op.srcs, None, None, op.taddr)
+    if oc is Opcode.HALT:
+        return (HALT, None, op.srcs, None, None, None)
+    return (BAD, None, op.srcs, None, None, f"illegal control op {op.asm()!r}")
 
 
 class BlockExecutor:
-    """Stateful BS-ISA executor; iterate :meth:`units` to run."""
+    """Executes one BS-ISA program; each :meth:`capture` (or
+    :meth:`run`) runs it from the start and replaces :attr:`stats`."""
 
     def __init__(
         self,
@@ -104,278 +113,299 @@ class BlockExecutor:
         self.trace = trace
         self.op_limit = op_limit
         self.stats = BlockStats()
-        self.regs: list[int | float] = [0] * 32 + [0.0] * 32
-        self.regs[SP] = STACK_BASE
-        self.memory = Memory(prog.data)
-        self.writer: dict[int, int] = {}
-        self.store_writer: dict[int, int] = {}
-        self._dyn = 0
-        self._executed_ops = 0
 
     @property
     def outputs(self) -> list:
         return self.stats.outputs
 
     def run(self) -> BlockStats:
-        for _ in self.units():
-            pass
+        """Run to completion; returns stats."""
+        self.capture()
         return self.stats
 
-    # ------------------------------------------------------------------
-
-    def _exec_block(self, block: AtomicBlock, record: bool) -> _BlockResult:
-        """Speculatively execute *block* against buffered state."""
-        res = _BlockResult()
-        rbuf = res.rbuf
-        sbuf = res.sbuf
-        regs = self.regs
-        memory = self.memory
-        writer = self.writer
-        store_writer = self.store_writer
-        lwriter = res.lwriter
-        lstore = res.lstore
-        if record:
-            res.dynops = []
-
-        def read(r: int):
-            return rbuf[r] if r in rbuf else regs[r]
-
-        def write(r: int, v):
-            rbuf[r] = v
-
-        def out(kind: str, value):
-            res.obuf.append((kind, value))
-
-        def _unused(*_a):  # pragma: no cover - loads handled inline
-            raise ExecutionError("memory op reached eval_op")
-
-        self._executed_ops += len(block.ops)
-        if self._executed_ops > self.op_limit:
-            raise ExecutionError("block executor op limit hit")
-
-        for idx, op in enumerate(block.ops):
-            oc = op.opcode
-            dyn_id = self._dyn
-            if record:
-                self._dyn += 1
-            deps: tuple[int, ...] = ()
-
-            if op.is_control:
-                if oc is Opcode.FAULT:
-                    cond = op.srcs[0]
-                    if record:
-                        w = lwriter.get(cond, writer.get(cond))
-                        deps = (w,) if w is not None else ()
-                    outcome = read(cond) != 0
-                    if outcome != bool(op.imm) and res.fault_index is None:
-                        res.fault_index = idx
-                        res.fault_target = op.taddr
-                elif oc is Opcode.TRAP:
-                    cond = op.srcs[0]
-                    if record:
-                        w = lwriter.get(cond, writer.get(cond))
-                        deps = (w,) if w is not None else ()
-                    res.trap_outcome = read(cond) != 0
-                elif oc is Opcode.CALL:
-                    write(RA, op.taddr2)
-                    if record:
-                        lwriter[RA] = dyn_id
-                    res.next_addr = op.taddr
-                elif oc is Opcode.RET:
-                    cond = op.srcs[0]
-                    if record:
-                        w = lwriter.get(cond, writer.get(cond))
-                        deps = (w,) if w is not None else ()
-                    res.next_addr = int(read(cond))
-                elif oc is Opcode.JMP:
-                    res.next_addr = op.taddr
-                elif oc is Opcode.HALT:
-                    res.halted = True
-                else:
-                    raise ExecutionError(f"illegal control op {op.asm()!r}")
-                if record:
-                    res.dynops.append(DynOp(OP_LATENCY[oc], deps, uid=dyn_id))
-                continue
-
-            if op.is_load:
-                res.n_loads += 1
-                addr = effective_address(op, read)
-                value = sbuf[addr] if addr in sbuf else memory.load(addr)
-                if oc is Opcode.FLD or oc is Opcode.FLDX:
-                    value = float(value)
-                write(op.dest, value)
-                if record:
-                    deps_list = []
-                    for r in op.srcs:
-                        w = lwriter.get(r, writer.get(r))
-                        if w is not None:
-                            deps_list.append(w)
-                    s = lstore.get(addr, store_writer.get(addr))
-                    if s is not None:
-                        deps_list.append(s)
-                    res.dynops.append(
-                        DynOp(OP_LATENCY[oc], tuple(deps_list),
-                              mem_addr=addr, is_load=True, uid=dyn_id)
-                    )
-                    lwriter[op.dest] = dyn_id
-            elif op.is_store:
-                res.n_stores += 1
-                addr = effective_address(op, read)
-                sbuf[addr] = read(op.srcs[0])
-                if record:
-                    deps_list = []
-                    for r in op.srcs:
-                        w = lwriter.get(r, writer.get(r))
-                        if w is not None:
-                            deps_list.append(w)
-                    res.dynops.append(
-                        DynOp(OP_LATENCY[oc], tuple(deps_list),
-                              mem_addr=addr, is_store=True, uid=dyn_id)
-                    )
-                    lstore[addr] = dyn_id
-            else:
-                if record:
-                    deps_list = []
-                    for r in op.srcs:
-                        w = lwriter.get(r, writer.get(r))
-                        if w is not None:
-                            deps_list.append(w)
-                    res.dynops.append(
-                        DynOp(OP_LATENCY[oc], tuple(deps_list), uid=dyn_id)
-                    )
-                eval_op(op, read, write, _unused, _unused, out)
-                if record and op.dest is not None:
-                    lwriter[op.dest] = dyn_id
-        return res
-
-    def _commit(self, block: AtomicBlock, res: _BlockResult) -> None:
-        regs = self.regs
-        for r, v in res.rbuf.items():
-            regs[r] = v
-        memory = self.memory
-        for addr, v in res.sbuf.items():
-            memory.store(addr, v)
-        self.writer.update(res.lwriter)
-        self.store_writer.update(res.lstore)
-        stats = self.stats
-        stats.outputs.extend(res.obuf)
-        stats.committed_ops += len(block.ops)
-        stats.blocks_committed += 1
-        stats.loads += res.n_loads
-        stats.stores += res.n_stores
-
-    # ------------------------------------------------------------------
-
     def units(self) -> Iterator[FetchUnit]:
+        """The captured stream as :class:`FetchUnit` objects."""
+        return self.capture().units()
+
+    def capture(self) -> "PackedTrace":
+        """Run the program to completion, recording its fetch units.
+
+        The trace is empty when the executor was built with
+        ``trace=False``; every recording step sits behind ``if trace``,
+        so architectural results do not depend on it.
+        """
+        # repro.sim imports this module, so the trace type comes late.
+        from repro.sim.packed import PackedTrace
+
+        out = PackedTrace.empty()
         prog = self.prog
-        stats = self.stats
+        trace = self.trace
         predictor = self.predictor
         perfect = predictor is None
+        op_limit = self.op_limit
+        outputs: list = []
+
+        regs: list[int | float] = [0] * 32 + [0.0] * 32
+        regs[SP] = STACK_BASE
+        words = Memory(prog.data).words
+        #: register -> position of its last committed producer
+        writer = [-1] * len(regs)
+        store_writer: dict[int, int] = {}
+        decoded: dict[int, tuple] = {}
+
+        op_uid = out.op_uid
+        op_lat = out.op_lat
+        op_mem = out.op_mem
+        op_flags = out.op_flags
+        op_dep_start = out.op_dep_start
+        deps = out.deps
+        deps_append = deps.append
+        dep_start_append = op_dep_start.append
+
+        #: next executor uid; it runs ahead of the op position when
+        #: perfect prediction rolls a variant back
+        uid = executed = 0
+        fetched_ops = committed_ops = blocks_fetched = blocks_committed = 0
+        blocks_squashed = trap_predictions = trap_mispredicts = 0
+        fault_mispredicts = calls = returns = loads = stores = 0
         pending: tuple[AtomicBlock, bool] | None = None
-
         current = prog.block_at(prog.entry_addr)
-        while True:
-            res = self._exec_block(current, record=self.trace)
-
-            if res.fault_index is not None:
-                if perfect:
-                    # Perfect prediction never fetches a faulting variant:
-                    # silently resolve the chain to the correct sibling.
-                    current = prog.block_at(res.fault_target)
-                    continue
-                stats.blocks_fetched += 1
-                stats.blocks_squashed += 1
-                stats.fetched_ops += len(current.ops)
-                stats.fault_mispredicts += 1
-                if self.trace:
-                    yield FetchUnit(
-                        current.addr,
-                        current.size_bytes,
-                        res.dynops,
-                        squashed=True,
-                        resolve_index=res.fault_index,
-                        atomic=True,
+        try:
+            while True:
+                block_decoded = decoded.get(current.addr)
+                if block_decoded is None:
+                    block_decoded = decoded[current.addr] = decode_run(
+                        current.ops, _control
                     )
-                current = prog.block_at(res.fault_target)
-                continue
+                ops, lat, flags, mem, n_loads, n_stores = block_decoded
+                n = len(ops)
+                executed += n
+                if executed > op_limit:
+                    raise ExecutionError("block executor op limit hit")
 
-            # Commit.
-            self._commit(current, res)
-            stats.blocks_fetched += 1
-            stats.fetched_ops += len(current.ops)
-
-            if pending is not None and predictor is not None:
-                prev_block, prev_outcome = pending
-                predictor.notify_actual(prev_block, prev_outcome, current)
-                pending = None
-
-            term = current.terminator
-            mispredict = False
-            next_block: AtomicBlock | None = None
-
-            if res.halted:
-                pass
-            elif term.opcode is Opcode.TRAP or (
-                term.opcode is Opcode.JMP and term.nbits > 0
-            ):
-                if term.opcode is Opcode.TRAP:
-                    explicit = term.taddr if res.trap_outcome else term.taddr2
-                    outcome = bool(res.trap_outcome)
-                else:
-                    # Jump into a multi-variant family: the predictor
-                    # selects the variant (direction is fixed/true).
-                    explicit = term.taddr
-                    outcome = True
-                if perfect:
-                    next_block = prog.block_at(explicit)
-                else:
-                    stats.trap_predictions += 1
-                    predicted_addr = predictor.predict(current)
-                    actual_root = prog.block_at(explicit).path[0]
-                    predicted = (
-                        prog.by_addr.get(predicted_addr)
-                        if predicted_addr is not None
-                        else None
-                    )
-                    if predicted is not None and predicted.path[0] == actual_root:
-                        next_block = predicted
-                    else:
-                        # Redirect: re-access the predictor with the
-                        # corrected trap direction to pick the variant.
-                        repredicted = predictor.predict_with_outcome(
-                            current, outcome
-                        )
-                        candidate = prog.by_addr.get(repredicted)
-                        if candidate is not None and candidate.path[0] == actual_root:
-                            next_block = candidate
+                # Speculatively execute the block against buffered state:
+                # registers (and their producers) in copies, stores and
+                # output in buffers, all dropped unless the block commits.
+                bregs = regs.copy()
+                sbuf: dict[int, int | float] = {}
+                obuf = None
+                fault_index = -1
+                fault_target = next_addr = trap_outcome = None
+                halted = False
+                if trace:
+                    bwriter = writer.copy()
+                    bstore: dict[int, int] = {}
+                    start = pos = len(op_uid)
+                    dep_mark = len(deps)
+                    op_uid.extend(range(uid, uid + n))
+                    uid += n
+                    op_lat += lat
+                    op_flags += flags
+                    op_mem += mem
+                for kind, dest, srcs, imm, fn, aux in ops:
+                    if trace:
+                        for r in srcs:
+                            w = bwriter[r]
+                            if w >= 0:
+                                deps_append(w)
+                    if kind == BINI:
+                        bregs[dest] = fn(aux(bregs[srcs[0]]), imm)
+                    elif kind == MOV:
+                        bregs[dest] = bregs[srcs[0]]
+                    elif kind == STORE:
+                        addr = int(bregs[srcs[1]]) + imm
+                        if aux is not None:
+                            addr += int(bregs[aux]) << 3
+                        addr &= ~7
+                        sbuf[addr] = bregs[srcs[0]]
+                        if trace:
+                            op_mem[pos] = addr
+                            bstore[addr] = pos
+                    elif kind == LOAD:
+                        addr = int(bregs[srcs[0]]) + imm
+                        if aux is not None:
+                            addr += int(bregs[aux]) << 3
+                        addr &= ~7
+                        if addr in sbuf:
+                            value = sbuf[addr]
                         else:
-                            next_block = prog.block_at(explicit)
-                        mispredict = True
-                        stats.trap_mispredicts += 1
-                    pending = (current, outcome)
-            else:
-                if term.opcode is Opcode.CALL:
-                    stats.calls += 1
-                elif term.opcode is Opcode.RET:
-                    stats.returns += 1
-                if res.next_addr is None:
-                    raise ExecutionError(
-                        f"block {current.label} has no successor"
-                    )
-                next_block = prog.block_at(res.next_addr)
+                            value = words.get(addr, 0)
+                        bregs[dest] = value if fn is None else fn(value)
+                        if trace:
+                            op_mem[pos] = addr
+                            w = bstore.get(addr)
+                            if w is None:
+                                w = store_writer.get(addr)
+                            if w is not None:
+                                deps_append(w)
+                    elif kind == BIN:
+                        bregs[dest] = fn(
+                            aux(bregs[srcs[0]]), aux(bregs[srcs[1]])
+                        )
+                    elif kind == MOVI:
+                        bregs[dest] = imm
+                    elif kind == FAULT:
+                        if (bregs[srcs[0]] != 0) != imm and fault_index < 0:
+                            fault_index, fault_target = aux
+                    elif kind == TRAP:
+                        trap_outcome = bregs[srcs[0]] != 0
+                    elif kind == JMP:
+                        next_addr = aux
+                    elif kind == CALL:
+                        bregs[dest] = imm
+                        next_addr = aux
+                    elif kind == RET:
+                        next_addr = int(bregs[srcs[0]])
+                    elif kind == HALT:
+                        halted = True
+                    elif kind == SELECT:
+                        cond, a, b = srcs
+                        bregs[dest] = (
+                            bregs[a] if bregs[cond] != 0 else bregs[b]
+                        )
+                    elif kind == UNARY:
+                        bregs[dest] = fn(bregs[srcs[0]])
+                    elif kind == OUT:
+                        if obuf is None:
+                            obuf = []
+                        obuf.append((imm, fn(bregs[srcs[0]])))
+                    else:
+                        raise ExecutionError(aux)
+                    if trace:
+                        if dest is not None:
+                            bwriter[dest] = pos
+                        dep_start_append(len(deps))
+                        pos += 1
 
-            if self.trace:
-                yield FetchUnit(
-                    current.addr,
-                    current.size_bytes,
-                    res.dynops,
-                    mispredict=mispredict,
-                    resolve_index=len(current.ops) - 1 if mispredict else -1,
-                    atomic=True,
-                )
-            if res.halted:
-                return
-            current = next_block
+                if fault_index >= 0:
+                    if perfect:
+                        # Perfect prediction never fetches a faulting
+                        # variant: drop its columns and silently resolve
+                        # the chain to the correct sibling.
+                        if trace:
+                            del op_uid[start:], op_lat[start:]
+                            del op_mem[start:], op_flags[start:]
+                            del op_dep_start[start + 1:], deps[dep_mark:]
+                        current = prog.block_at(fault_target)
+                        continue
+                    blocks_fetched += 1
+                    blocks_squashed += 1
+                    fetched_ops += n
+                    fault_mispredicts += 1
+                    if trace:
+                        out.unit_addr.append(current.addr)
+                        out.unit_size.append(current.size_bytes)
+                        out.unit_resolve.append(fault_index)
+                        out.unit_flags.append(F_SQUASHED | F_ATOMIC)
+                        out.unit_op_start.append(pos)
+                    current = prog.block_at(fault_target)
+                    continue
+
+                # Commit.
+                regs = bregs
+                words.update(sbuf)
+                if trace:
+                    writer = bwriter
+                    store_writer.update(bstore)
+                if obuf is not None:
+                    outputs.extend(obuf)
+                committed_ops += n
+                blocks_committed += 1
+                loads += n_loads
+                stores += n_stores
+                blocks_fetched += 1
+                fetched_ops += n
+
+                if pending is not None and predictor is not None:
+                    prev_block, prev_outcome = pending
+                    predictor.notify_actual(prev_block, prev_outcome, current)
+                    pending = None
+
+                term = current.terminator
+                mispredict = False
+                next_block: AtomicBlock | None = None
+
+                if halted:
+                    pass
+                elif term.opcode is Opcode.TRAP or (
+                    term.opcode is Opcode.JMP and term.nbits > 0
+                ):
+                    if term.opcode is Opcode.TRAP:
+                        explicit = term.taddr if trap_outcome else term.taddr2
+                        outcome = bool(trap_outcome)
+                    else:
+                        # Jump into a multi-variant family: the predictor
+                        # selects the variant (direction is fixed/true).
+                        explicit = term.taddr
+                        outcome = True
+                    if perfect:
+                        next_block = prog.block_at(explicit)
+                    else:
+                        trap_predictions += 1
+                        predicted_addr = predictor.predict(current)
+                        actual_root = prog.block_at(explicit).path[0]
+                        predicted = (
+                            prog.by_addr.get(predicted_addr)
+                            if predicted_addr is not None
+                            else None
+                        )
+                        if (
+                            predicted is not None
+                            and predicted.path[0] == actual_root
+                        ):
+                            next_block = predicted
+                        else:
+                            # Redirect: re-access the predictor with the
+                            # corrected trap direction to pick the variant.
+                            repredicted = predictor.predict_with_outcome(
+                                current, outcome
+                            )
+                            candidate = prog.by_addr.get(repredicted)
+                            if (
+                                candidate is not None
+                                and candidate.path[0] == actual_root
+                            ):
+                                next_block = candidate
+                            else:
+                                next_block = prog.block_at(explicit)
+                            mispredict = True
+                            trap_mispredicts += 1
+                        pending = (current, outcome)
+                else:
+                    if term.opcode is Opcode.CALL:
+                        calls += 1
+                    elif term.opcode is Opcode.RET:
+                        returns += 1
+                    if next_addr is None:
+                        raise ExecutionError(
+                            f"block {current.label} has no successor"
+                        )
+                    next_block = prog.block_at(next_addr)
+
+                if trace:
+                    out.unit_addr.append(current.addr)
+                    out.unit_size.append(current.size_bytes)
+                    if mispredict:
+                        out.unit_resolve.append(n - 1)
+                        out.unit_flags.append(F_MISPREDICT | F_ATOMIC)
+                    else:
+                        out.unit_resolve.append(-1)
+                        out.unit_flags.append(F_ATOMIC)
+                    out.unit_op_start.append(pos)
+                if halted:
+                    return out
+                current = next_block
+        finally:
+            self.stats = BlockStats(
+                fetched_ops=fetched_ops, committed_ops=committed_ops,
+                blocks_fetched=blocks_fetched,
+                blocks_committed=blocks_committed,
+                blocks_squashed=blocks_squashed,
+                trap_predictions=trap_predictions,
+                trap_mispredicts=trap_mispredicts,
+                fault_mispredicts=fault_mispredicts, calls=calls,
+                returns=returns, loads=loads, stores=stores, outputs=outputs,
+            )
 
 
 def run_block_structured(

@@ -1,11 +1,14 @@
 """Conventional-ISA functional executor and trace generator.
 
 Executes a :class:`~repro.isa.program.ConventionalProgram` architecturally
-and (optionally) yields the dynamic :class:`~repro.exec.trace.FetchUnit`
-stream for the timing model. A fetch unit is the run of operations up to
-and including the first control operation (the machine makes one branch
-prediction per cycle — the paper's single-basic-block fetch limit), or 16
-operations, whichever comes first.
+and (optionally) records the dynamic fetch-unit stream for the timing
+model straight into a :class:`~repro.sim.packed.PackedTrace`. A fetch
+unit is the run of operations up to and including the first control
+operation (the machine makes one branch prediction per cycle — the
+paper's single-basic-block fetch limit), or 16 operations, whichever
+comes first. A unit's extent therefore depends only on its start
+address, so each is decoded once per capture (:mod:`repro.exec.opsem`)
+and its static columns are appended whole.
 
 Branch direction prediction comes from the supplied predictor; direct
 targets, calls and returns are modelled as always predicted correctly
@@ -16,16 +19,22 @@ With ``predictor=None`` prediction is perfect (Figure 4's configuration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ExecutionError
 from repro.exec.memory import Memory, STACK_BASE
-from repro.exec.opsem import effective_address, eval_op
-from repro.exec.trace import OP_LATENCY, DynOp, FetchUnit
+from repro.exec.opsem import (
+    BAD, BIN, BINI, BR, CALL, HALT, JMP, LOAD, MOV, MOVI, OUT, RET,
+    SELECT, STORE, UNARY, decode_run,
+)
+from repro.exec.trace import F_MISPREDICT, FetchUnit
 from repro.isa.opcodes import Opcode
-from repro.isa.operation import OP_BYTES
+from repro.isa.operation import OP_BYTES, MachineOp
 from repro.isa.program import ConventionalProgram
 from repro.isa.registers import RA, SP
+
+if TYPE_CHECKING:
+    from repro.sim.packed import PackedTrace
 
 _FETCH_LIMIT = 16
 _DEFAULT_OP_LIMIT = 500_000_000
@@ -50,8 +59,35 @@ class ConventionalStats:
         return self.dyn_ops / self.units if self.units else 0.0
 
 
+def _control(op: MachineOp, index: int) -> tuple:
+    """Decoded tuple of a conventional-ISA control op (see opsem)."""
+    oc = op.opcode
+    if oc is Opcode.BR:
+        return (BR, None, op.srcs, op.imm == 1, None, (op.addr, op.taddr))
+    if oc is Opcode.JMP:
+        return (JMP, None, op.srcs, None, None, op.taddr)
+    if oc is Opcode.CALL:
+        return (CALL, RA, op.srcs, op.addr + OP_BYTES, None, op.taddr)
+    if oc is Opcode.RET:
+        return (RET, None, op.srcs, None, None, None)
+    if oc is Opcode.HALT:
+        return (HALT, None, op.srcs, None, None, None)
+    return (BAD, None, op.srcs, None, None, f"illegal control op {op.asm()!r}")
+
+
+def _decode_unit(prog: ConventionalProgram, pc: int) -> tuple:
+    ops = []
+    while len(ops) < _FETCH_LIMIT:
+        op = prog.op_at(pc + len(ops) * OP_BYTES)
+        ops.append(op)
+        if op.is_control:
+            break
+    return decode_run(ops, _control)
+
+
 class ConventionalExecutor:
-    """Stateful executor; iterate :meth:`units` to run the program."""
+    """Executes one program; each :meth:`capture` (or :meth:`run`) runs
+    it from the start and replaces :attr:`stats`."""
 
     def __init__(
         self,
@@ -65,12 +101,6 @@ class ConventionalExecutor:
         self.trace = trace
         self.op_limit = op_limit
         self.stats = ConventionalStats()
-        self.regs: list[int | float] = [0] * 32 + [0.0] * 32
-        self.regs[SP] = STACK_BASE
-        self.memory = Memory(prog.data)
-        self.writer: dict[int, int] = {}
-        self.store_writer: dict[int, int] = {}
-        self._dyn = 0
         #: optional callable(addr, taken) invoked at every executed BR
         #: (used by repro.profile's training runs)
         self.branch_hook = None
@@ -80,146 +110,165 @@ class ConventionalExecutor:
         return self.stats.outputs
 
     def run(self) -> ConventionalStats:
-        """Run to completion discarding the unit stream; returns stats."""
-        for _ in self.units():
-            pass
+        """Run to completion; returns stats."""
+        self.capture()
         return self.stats
 
     def units(self) -> Iterator[FetchUnit]:
+        """The captured stream as :class:`FetchUnit` objects."""
+        return self.capture().units()
+
+    def capture(self) -> "PackedTrace":
+        """Run the program to completion, recording its fetch units.
+
+        The trace is empty when the executor was built with
+        ``trace=False``; every recording step sits behind ``if trace``,
+        so architectural results do not depend on it.
+        """
+        # repro.sim imports this module, so the trace type comes late.
+        from repro.sim.packed import PackedTrace
+
+        out = PackedTrace.empty()
         prog = self.prog
-        regs = self.regs
-        memory = self.memory
-        stats = self.stats
         trace = self.trace
         predictor = self.predictor
-        writer = self.writer
-        store_writer = self.store_writer
-        outputs = stats.outputs
+        hook = self.branch_hook
+        op_limit = self.op_limit
+        outputs: list = []
 
-        def out(kind: str, value):
-            outputs.append((kind, value))
+        regs: list[int | float] = [0] * 32 + [0.0] * 32
+        regs[SP] = STACK_BASE
+        words = Memory(prog.data).words
+        #: register -> position of its last producer in the op columns
+        writer = [-1] * len(regs)
+        store_writer: dict[int, int] = {}
+        decoded: dict[int, tuple] = {}
 
-        def _unused_load(addr):  # pragma: no cover - loads handled inline
-            raise ExecutionError("load reached eval_op")
+        unit_op_start = out.unit_op_start
+        op_uid = out.op_uid
+        op_lat = out.op_lat
+        op_mem = out.op_mem
+        op_flags = out.op_flags
+        deps = out.deps
+        deps_append = deps.append
+        dep_start_append = out.op_dep_start.append
 
-        def _unused_store(addr, value):  # pragma: no cover
-            raise ExecutionError("store reached eval_op")
-
-        read = regs.__getitem__
-        write = regs.__setitem__
-
+        #: ops executed so far, which is also the position (and uid) of
+        #: the next one: every executed op is recorded
+        dyn = units = branches = mispredicts = calls = returns = 0
+        loads = stores = 0
         pc = prog.entry_addr
-        running = True
-        while running:
-            unit_addr = pc
-            unit_ops: list[DynOp] = [] if trace else None  # type: ignore[assignment]
-            nops = 0
-            mispredict = False
-            resolve_index = -1
-            while True:
-                op = prog.op_at(pc)
-                oc = op.opcode
-                stats.dyn_ops += 1
-                if stats.dyn_ops > self.op_limit:
+        try:
+            while pc is not None:
+                unit = decoded.get(pc)
+                if unit is None:
+                    unit = decoded[pc] = _decode_unit(prog, pc)
+                ops, lat, flags, mem, n_loads, n_stores = unit
+                n = len(ops)
+                if dyn + n > op_limit:
                     raise ExecutionError("conventional executor op limit hit")
-                dyn_id = self._dyn
-                self._dyn += 1
-                nops += 1
-
-                if op.is_control:
-                    deps: tuple[int, ...] = ()
-                    if oc is Opcode.BR:
-                        cond_writer = writer.get(op.srcs[0])
-                        if cond_writer is not None:
-                            deps = (cond_writer,)
-                        taken = (regs[op.srcs[0]] != 0) == (op.imm == 1)
-                        stats.branches += 1
-                        if self.branch_hook is not None:
-                            self.branch_hook(op.addr, taken)
+                nxt = pc + n * OP_BYTES
+                mispredict = False
+                if trace:
+                    op_uid.extend(range(dyn, dyn + n))
+                    op_lat += lat
+                    op_flags += flags
+                    op_mem += mem
+                pos = dyn
+                for kind, dest, srcs, imm, fn, aux in ops:
+                    if trace:
+                        for r in srcs:
+                            w = writer[r]
+                            if w >= 0:
+                                deps_append(w)
+                    if kind == BINI:
+                        regs[dest] = fn(aux(regs[srcs[0]]), imm)
+                    elif kind == MOV:
+                        regs[dest] = regs[srcs[0]]
+                    elif kind == STORE:
+                        addr = int(regs[srcs[1]]) + imm
+                        if aux is not None:
+                            addr += int(regs[aux]) << 3
+                        addr &= ~7
+                        words[addr] = regs[srcs[0]]
+                        if trace:
+                            op_mem[pos] = addr
+                            store_writer[addr] = pos
+                    elif kind == LOAD:
+                        addr = int(regs[srcs[0]]) + imm
+                        if aux is not None:
+                            addr += int(regs[aux]) << 3
+                        addr &= ~7
+                        value = words.get(addr, 0)
+                        regs[dest] = value if fn is None else fn(value)
+                        if trace:
+                            op_mem[pos] = addr
+                            w = store_writer.get(addr)
+                            if w is not None:
+                                deps_append(w)
+                    elif kind == BIN:
+                        regs[dest] = fn(
+                            aux(regs[srcs[0]]), aux(regs[srcs[1]])
+                        )
+                    elif kind == MOVI:
+                        regs[dest] = imm
+                    elif kind == BR:
+                        taken = (regs[srcs[0]] != 0) == imm
+                        branches += 1
+                        addr, target = aux
+                        if hook is not None:
+                            hook(addr, taken)
                         if predictor is not None:
-                            predicted = predictor.predict_branch(op.addr)
-                            predictor.update_branch(op.addr, taken)
+                            predicted = predictor.predict_branch(addr)
+                            predictor.update_branch(addr, taken)
                             if predicted != taken:
-                                stats.mispredicts += 1
+                                mispredicts += 1
                                 mispredict = True
-                                resolve_index = nops - 1
-                        pc = op.taddr if taken else pc + OP_BYTES
-                    elif oc is Opcode.JMP:
-                        pc = op.taddr
-                    elif oc is Opcode.CALL:
-                        stats.calls += 1
-                        regs[RA] = pc + OP_BYTES
-                        writer[RA] = dyn_id
-                        pc = op.taddr
-                    elif oc is Opcode.RET:
-                        stats.returns += 1
-                        ra_writer = writer.get(op.srcs[0])
-                        if ra_writer is not None:
-                            deps = (ra_writer,)
-                        pc = int(regs[op.srcs[0]])
-                    elif oc is Opcode.HALT:
-                        running = False
+                        if taken:
+                            nxt = target
+                    elif kind == JMP:
+                        nxt = aux
+                    elif kind == CALL:
+                        calls += 1
+                        regs[dest] = imm
+                        nxt = aux
+                    elif kind == RET:
+                        returns += 1
+                        nxt = int(regs[srcs[0]])
+                    elif kind == HALT:
+                        nxt = None
+                    elif kind == SELECT:
+                        cond, a, b = srcs
+                        regs[dest] = regs[a] if regs[cond] != 0 else regs[b]
+                    elif kind == UNARY:
+                        regs[dest] = fn(regs[srcs[0]])
+                    elif kind == OUT:
+                        outputs.append((imm, fn(regs[srcs[0]])))
                     else:
-                        raise ExecutionError(f"illegal control op {op.asm()!r}")
+                        raise ExecutionError(aux)
                     if trace:
-                        unit_ops.append(DynOp(OP_LATENCY[oc], deps, uid=dyn_id))
-                    break
-
-                if op.is_load:
-                    stats.loads += 1
-                    addr = effective_address(op, read)
-                    value = memory.load(addr)
-                    if oc is Opcode.FLD or oc is Opcode.FLDX:
-                        value = float(value)
-                    regs[op.dest] = value
-                    if trace:
-                        deps_list = [writer[r] for r in op.srcs if r in writer]
-                        producing_store = store_writer.get(addr)
-                        if producing_store is not None:
-                            deps_list.append(producing_store)
-                        unit_ops.append(
-                            DynOp(OP_LATENCY[oc], tuple(deps_list),
-                                  mem_addr=addr, is_load=True, uid=dyn_id)
-                        )
-                    writer[op.dest] = dyn_id
-                elif op.is_store:
-                    stats.stores += 1
-                    addr = effective_address(op, read)
-                    self.memory.store(addr, regs[op.srcs[0]])
-                    if trace:
-                        deps_list = [
-                            writer[r] for r in op.srcs if r in writer
-                        ]
-                        unit_ops.append(
-                            DynOp(OP_LATENCY[oc], tuple(deps_list),
-                                  mem_addr=addr, is_store=True, uid=dyn_id)
-                        )
-                    store_writer[addr] = dyn_id
-                else:
-                    eval_op(op, read, write, _unused_load, _unused_store, out)
-                    if trace:
-                        deps_list = [
-                            writer[r] for r in op.srcs if r in writer
-                        ]
-                        unit_ops.append(
-                            DynOp(OP_LATENCY[oc], tuple(deps_list), uid=dyn_id)
-                        )
-                    if op.dest is not None:
-                        writer[op.dest] = dyn_id
-
-                pc += OP_BYTES
-                if nops >= _FETCH_LIMIT:
-                    break
-
-            stats.units += 1
-            if trace:
-                yield FetchUnit(
-                    unit_addr,
-                    nops * OP_BYTES,
-                    unit_ops,
-                    mispredict=mispredict,
-                    resolve_index=resolve_index,
-                )
+                        if dest is not None:
+                            writer[dest] = pos
+                        dep_start_append(len(deps))
+                        pos += 1
+                dyn += n
+                units += 1
+                loads += n_loads
+                stores += n_stores
+                if trace:
+                    out.unit_addr.append(pc)
+                    out.unit_size.append(n * OP_BYTES)
+                    out.unit_resolve.append(n - 1 if mispredict else -1)
+                    out.unit_flags.append(F_MISPREDICT if mispredict else 0)
+                    unit_op_start.append(dyn)
+                pc = nxt
+        finally:
+            self.stats = ConventionalStats(
+                dyn_ops=dyn, units=units, branches=branches,
+                mispredicts=mispredicts, calls=calls, returns=returns,
+                loads=loads, stores=stores, outputs=outputs,
+            )
+        return out
 
 
 def run_conventional(

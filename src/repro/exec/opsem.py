@@ -1,24 +1,65 @@
-"""Evaluation of non-control machine operations.
+"""Decoded machine operations: the functional executors' op tables.
 
-Shared by the conventional and block-structured functional executors via
-small read/write/load/store/out callbacks, so buffered (atomic) and
-direct execution use identical arithmetic.
+Each capture decodes the ops it fetches once — lazily, one fetch unit
+or atomic block at a time, in a table local to that capture — into
+plain tuples
+
+    ``(kind, dest, srcs, imm, fn, aux)``
+
+so the executors' hot loops dispatch on a small int instead of hashing
+:class:`~repro.isa.opcodes.Opcode` members or calling the
+``is_control``/``is_load``/``is_store`` properties, and apply the
+function the decode picked from :mod:`repro.semantics` instead of
+looking it up per op. The arithmetic still comes only from
+:mod:`repro.semantics`. Nothing is cached on the program objects: they
+are pickled into compile artifacts.
+
+This module decodes the non-control ops both ISAs share (table below)
+and the static per-run columns (:func:`decode_run`); each executor
+decodes its own control ops, whose meaning differs between the ISAs.
+
+==========  ==========================================================
+kind        effect (``R[r]`` is register *r*)
+==========  ==========================================================
+``BINI``    ``R[dest] = fn(aux(R[srcs[0]]), imm)``, ``imm`` pre-converted
+``BIN``     ``R[dest] = fn(aux(R[srcs[0]]), aux(R[srcs[1]]))``
+``MOV``     ``R[dest] = R[srcs[0]]``
+``MOVI``    ``R[dest] = imm``
+``SELECT``  ``R[dest] = R[srcs[1]] if R[srcs[0]] != 0 else R[srcs[2]]``
+``UNARY``   ``R[dest] = fn(R[srcs[0]])``
+``OUT``     append ``(imm, fn(R[srcs[0]]))`` to the program output
+``LOAD``    ``R[dest] = M[ea]``, passed through ``fn`` unless it is None
+``STORE``   ``M[ea] = R[srcs[0]]``
+``BAD``     raise :class:`~repro.errors.ExecutionError` (message ``aux``)
+==========  ==========================================================
 
 Operand convention: binary ops may carry an immediate as their final
-operand (``srcs`` one short); loads/stores use ``imm`` as a byte offset.
-Effective addresses are aligned down to 8 bytes — the machine never
-traps, which keeps speculative wrong-path execution harmless.
+operand (``srcs`` one short). The effective address of a load or store
+is ``(int(R[base]) + imm + (int(R[aux]) << 3)) & ~7``: ``base`` is
+``srcs[0]`` for loads and ``srcs[1]`` for stores, ``imm`` the byte
+offset, and ``aux`` the index register of the scaled forms (``None``
+for the plain ones). Aligning down means the machine never traps,
+which keeps speculative wrong-path execution harmless, and memory is
+only ever touched at aligned addresses.
 """
 
 from __future__ import annotations
 
+from array import array
+from functools import partial
 from typing import Callable
 
-from repro.errors import ExecutionError
+from repro.exec.trace import OP_LATENCY, OPF_LOAD, OPF_STORE
 from repro.ir.instructions import IrOp
 from repro.isa.opcodes import Opcode
 from repro.isa.operation import MachineOp
-from repro.semantics import eval_binop, wrap64
+from repro.semantics import binop_impl, eval_unop
+
+# Kinds, most frequent first: the executors test them in this order.
+BINI, MOV, STORE, LOAD, BIN, MOVI = range(6)
+SELECT, UNARY, OUT, BAD = range(6, 10)
+#: control kinds (decoded by the executors)
+BR, JMP, CALL, RET, HALT, TRAP, FAULT = range(10, 17)
 
 _BIN_IR = {
     Opcode.ADD: IrOp.ADD,
@@ -46,80 +87,80 @@ _BIN_IR = {
     Opcode.FSNE: IrOp.FSNE,
 }
 
+_UNARY_IR = {Opcode.CVTIF: IrOp.ITOF, Opcode.CVTFI: IrOp.FTOI}
 
-def eval_op(
-    op: MachineOp,
-    read: Callable[[int], int | float],
-    write: Callable[[int, int | float], None],
-    load: Callable[[int], int | float],
-    store: Callable[[int, int | float], None],
-    out: Callable[[str, int | float], None],
-) -> None:
-    """Execute one non-control operation through the given callbacks."""
-    oc = op.opcode
-    ir = _BIN_IR.get(oc)
-    if ir is not None:
-        srcs = op.srcs
-        a = read(srcs[0])
-        b = read(srcs[1]) if len(srcs) > 1 else op.imm
-        write(op.dest, eval_binop(ir, a, b))
-        return
-    if oc is Opcode.MOVI or oc is Opcode.FMOVI:
-        write(op.dest, op.imm)
-        return
-    if oc is Opcode.MOV or oc is Opcode.FMOV:
-        write(op.dest, read(op.srcs[0]))
-        return
-    if oc is Opcode.SELECT or oc is Opcode.FSELECT:
-        cond, a, b = op.srcs
-        write(op.dest, read(a) if read(cond) != 0 else read(b))
-        return
-    if oc in _LOADS:
-        addr = effective_address(op, read)
-        value = load(addr)
-        if oc is Opcode.FLD or oc is Opcode.FLDX:
-            value = float(value)
-        write(op.dest, value)
-        return
-    if oc in _STORES:
-        store(effective_address(op, read), read(op.srcs[0]))
-        return
-    if oc is Opcode.CVTIF:
-        write(op.dest, float(int(read(op.srcs[0]))))
-        return
-    if oc is Opcode.CVTFI:
-        write(op.dest, wrap64(int(float(read(op.srcs[0])))))
-        return
-    if oc is Opcode.PUTINT:
-        out("i", int(read(op.srcs[0])))
-        return
-    if oc is Opcode.PUTFLT:
-        out("f", float(read(op.srcs[0])))
-        return
-    if oc is Opcode.PUTCH:
-        out("i", int(read(op.srcs[0])) & 0xFF)
-        return
-    raise ExecutionError(f"cannot evaluate {op.asm()!r}")
+#: output op -> (output kind tag, value conversion)
+_OUTPUTS = {
+    Opcode.PUTINT: ("i", int),
+    Opcode.PUTFLT: ("f", float),
+    Opcode.PUTCH: ("i", lambda v: int(v) & 0xFF),
+}
 
-
-_LOADS = frozenset({Opcode.LD, Opcode.FLD, Opcode.LDX, Opcode.FLDX})
+#: load op -> conversion of the loaded word (None: keep it as stored)
+_LOADS = {
+    Opcode.LD: None, Opcode.LDX: None, Opcode.FLD: float, Opcode.FLDX: float,
+}
 _STORES = frozenset({Opcode.ST, Opcode.FST, Opcode.STX, Opcode.FSTX})
 _INDEXED = frozenset({Opcode.LDX, Opcode.FLDX, Opcode.STX, Opcode.FSTX})
 
 
-def effective_address(op: MachineOp, read: Callable[[int], int | float]) -> int:
-    """The (aligned) effective address of a load or store.
-
-    Plain forms: ``base + imm`` (base is srcs[0] for loads, srcs[1] for
-    stores). Indexed forms add ``index << 3`` (index is the last source).
-    """
+def decode(op: MachineOp) -> tuple:
+    """The decoded tuple of one non-control op."""
     oc = op.opcode
-    if oc in (Opcode.LD, Opcode.FLD):
-        addr = int(read(op.srcs[0])) + (op.imm or 0)
-    elif oc in (Opcode.ST, Opcode.FST):
-        addr = int(read(op.srcs[1])) + (op.imm or 0)
-    elif oc in (Opcode.LDX, Opcode.FLDX):
-        addr = int(read(op.srcs[0])) + (int(read(op.srcs[1])) << 3) + (op.imm or 0)
-    else:  # STX / FSTX: (value, base, index)
-        addr = int(read(op.srcs[1])) + (int(read(op.srcs[2])) << 3) + (op.imm or 0)
-    return addr & ~7
+    srcs = op.srcs
+    ir = _BIN_IR.get(oc)
+    if ir is not None:
+        fn, conv = binop_impl(ir)
+        if len(srcs) > 1:
+            return (BIN, op.dest, srcs, None, fn, conv)
+        # A missing immediate stays None: fn raises when the op runs,
+        # not when a unit that merely contains it is decoded.
+        imm = op.imm if op.imm is None else conv(op.imm)
+        return (BINI, op.dest, srcs, imm, fn, conv)
+    if oc is Opcode.MOV or oc is Opcode.FMOV:
+        return (MOV, op.dest, srcs, None, None, None)
+    if oc is Opcode.MOVI or oc is Opcode.FMOVI:
+        return (MOVI, op.dest, srcs, op.imm, None, None)
+    if oc is Opcode.SELECT or oc is Opcode.FSELECT:
+        return (SELECT, op.dest, srcs, None, None, None)
+    if oc in _LOADS:
+        index = srcs[1] if oc in _INDEXED else None
+        return (LOAD, op.dest, srcs, op.imm or 0, _LOADS[oc], index)
+    if oc in _STORES:
+        index = srcs[2] if oc in _INDEXED else None
+        return (STORE, None, srcs, op.imm or 0, None, index)
+    if oc in _UNARY_IR:
+        fn = partial(eval_unop, _UNARY_IR[oc])
+        return (UNARY, op.dest, srcs, None, fn, None)
+    if oc in _OUTPUTS:
+        tag, conv = _OUTPUTS[oc]
+        return (OUT, None, srcs, tag, conv, None)
+    return (BAD, None, srcs, None, None, f"cannot evaluate {op.asm()!r}")
+
+
+def decode_run(
+    ops: list[MachineOp], control: Callable[[MachineOp, int], tuple]
+) -> tuple:
+    """Decode a run of ops that is always fetched whole.
+
+    Returns ``(decoded, lat, flags, mem, loads, stores)``: the decoded
+    tuples (control ops through *control*, which also gets the op's
+    index in the run), the run's static ``op_lat``/``op_flags``
+    columns, an ``op_mem`` column of ``-1`` for the executor to fill in
+    at the memory ops, and the run's load and store counts.
+    """
+    decoded = []
+    for index, op in enumerate(ops):
+        decoded.append(control(op, index) if op.is_control else decode(op))
+    flags = array("B", (
+        OPF_LOAD if d[0] == LOAD else OPF_STORE if d[0] == STORE else 0
+        for d in decoded
+    ))
+    return (
+        tuple(decoded),
+        array("q", (OP_LATENCY[op.opcode] for op in ops)),
+        flags,
+        array("q", [-1]) * len(ops),
+        flags.count(OPF_LOAD),
+        flags.count(OPF_STORE),
+    )

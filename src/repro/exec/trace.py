@@ -1,17 +1,31 @@
 """Dynamic-trace records produced by the functional executors.
 
-The timing model consumes a stream of :class:`FetchUnit`\\ s, each holding
-:class:`DynOp`\\ s. A ``DynOp`` carries everything timing needs: latency
-class, dataflow predecessors (dynamic op ids of the producers of its
-source registers, plus the producing store for loads), and the memory
-address for cache modelling. Functional values never reach the timing
-model.
+The executors record the dynamic fetch-unit stream straight into the
+flat columns of a :class:`~repro.sim.packed.PackedTrace` as they run;
+the flag bits of those columns are defined here, next to the object
+form of the same stream. That object form — :class:`FetchUnit`\\ s
+holding :class:`DynOp`\\ s, rebuilt by
+:meth:`~repro.sim.packed.PackedTrace.units` — is what the streaming
+timing loop, the trace-cache fetch model and tests consume. A ``DynOp``
+carries everything timing needs: latency class, dataflow predecessors
+(dynamic op ids of the producers of its source registers, plus the
+producing store for loads), and the memory address for cache modelling.
+Functional values never reach the timing model.
 """
 
 from __future__ import annotations
 
 from repro.isa.latencies import LATENCY
 from repro.isa.opcodes import OPCODE_INFO
+
+#: ``unit_flags`` bits
+F_MISPREDICT = 1
+F_SQUASHED = 2
+F_ATOMIC = 4
+
+#: ``op_flags`` bits
+OPF_LOAD = 1
+OPF_STORE = 2
 
 
 class DynOp:

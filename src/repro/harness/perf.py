@@ -3,8 +3,8 @@
 Times the three phases of the packed-trace pipeline per benchmark × ISA
 (docs/performance.md):
 
-* **capture**  — functional execution + packing into a
-  :class:`~repro.sim.packed.PackedTrace`;
+* **capture**  — functional execution, which writes the
+  :class:`~repro.sim.packed.PackedTrace` columns as it runs;
 * **replay**   — :meth:`~repro.sim.engine.TimingEngine.run_packed` over
   the flat arrays (the scalar Python replayer);
 * **streaming** — the original single-pass pipeline
@@ -255,14 +255,14 @@ def benchmark_suite(
 #: more than this much slower than the committed baseline.
 REGRESSION_THRESHOLD = 0.20
 
-_COMPARE_FIELDS = (
+#: The phases ``--compare`` reports and gates on. Capture gates too: it
+#: runs once per trace, yet it is most of a cold run's simulation time
+#: (docs/performance.md). vector_s/sweep_s only gate when both
+#: documents carry them (numpy present on both sides, sweep columns
+#: present on both sides).
+_GATED_FIELDS = (
     "capture_s", "replay_s", "streaming_s", "vector_s", "sweep_s"
 )
-#: capture_s is informational (it runs once per sweep); the sim phases
-#: are what ROADMAP item 1's trajectory gates on. vector_s/sweep_s only
-#: gate when both documents carry them (numpy present on both sides,
-#: sweep columns present on both sides).
-_GATED_FIELDS = ("replay_s", "streaming_s", "vector_s", "sweep_s")
 
 
 def compare_documents(
@@ -272,7 +272,7 @@ def compare_documents(
     *old* (an earlier ``BENCH_sim.json``).
 
     Returns ``(rendered table, regressions)`` — a regression is a gated
-    phase (replay/streaming) more than *threshold* slower than the
+    phase (:data:`_GATED_FIELDS`) more than *threshold* slower than the
     baseline. Entries are matched on ``(benchmark, isa)``; entries
     missing from the baseline are reported but never gate.
     """
@@ -295,7 +295,7 @@ def compare_documents(
             )
             continue
         deltas = []
-        for field in _COMPARE_FIELDS:
+        for field in _GATED_FIELDS:
             if field in entry and base.get(field, 0) > 0:
                 deltas.append(
                     f"{100.0 * (entry[field] - base[field]) / base[field]:+8.1f}%"

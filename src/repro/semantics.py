@@ -92,15 +92,24 @@ _FLOAT_BIN = {
 }
 
 
-def eval_binop(op: IrOp, a, b):
-    """Evaluate an IR binary op on concrete values."""
+def binop_impl(op: IrOp):
+    """``(fn, conv)`` for an IR binary op: its value on concrete operands
+    *a*, *b* is ``fn(conv(a), conv(b))``, with ``conv`` ``int`` or
+    ``float``. Lets a caller that applies one op many times resolve it
+    once."""
     fn = _INT_BIN.get(op)
     if fn is not None:
-        return fn(int(a), int(b))
+        return fn, int
     fn = _FLOAT_BIN.get(op)
     if fn is not None:
-        return fn(float(a), float(b))
+        return fn, float
     raise ValueError(f"{op} is not a binary op")
+
+
+def eval_binop(op: IrOp, a, b):
+    """Evaluate an IR binary op on concrete values."""
+    fn, conv = binop_impl(op)
+    return fn(conv(a), conv(b))
 
 
 def eval_unop(op: IrOp, a):

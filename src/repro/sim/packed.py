@@ -1,15 +1,10 @@
 """Packed fetch-unit traces: capture a dynamic stream once, replay it fast.
 
-The functional executors produce the dynamic fetch-unit stream as Python
-objects (:class:`~repro.exec.trace.FetchUnit` holding
-:class:`~repro.exec.trace.DynOp`\\ s). That stream depends only on the
-program and the predictor configuration — *not* on icache geometry,
-latencies, or window sizes — yet historically every machine-config sweep
-point re-ran the whole functional executor and re-interpreted every op
-through dict/heap-based Python.
-
-:class:`PackedTrace` materializes one stream into flat ``array`` columns
-(structure of arrays):
+The dynamic fetch-unit stream depends only on the program and the
+predictor configuration — *not* on icache geometry, latencies, or
+window sizes — so it is captured once and replayed under every machine
+config of a sweep. :class:`PackedTrace` holds one stream as flat
+``array`` columns (structure of arrays):
 
 ==================  ====  =====================================================
 column              type  meaning
@@ -27,12 +22,23 @@ column              type  meaning
 ``deps``            q     producer references as **dense op indices**
 ==================  ====  =====================================================
 
-Dependences are renumbered from executor uids to dense positions in the
-op column at capture time, so the replay loop can keep completion times
-in a flat list indexed by position instead of a dict keyed by uid; the
-original uids are kept in ``op_uid`` so :meth:`units` reconstructs the
-stream losslessly. Icache line spans (first/last line per unit) are
-precomputed per line size and cached on the trace.
+Capture writes the columns directly: the functional executors
+(:meth:`~repro.exec.conventional.ConventionalExecutor.capture`,
+:meth:`~repro.exec.block.BlockExecutor.capture`) start from
+:meth:`PackedTrace.empty` and append each op and unit as they execute
+it, with no per-op objects in between. Dependences are written as dense
+positions in the op column, so the replay loop keeps completion times
+in a flat list indexed by position instead of a dict keyed by uid. The
+executor uids are kept in ``op_uid``: they equal the positions except
+under perfect prediction on the BS-ISA, where a silently resolved
+variant's columns are rolled back but its uids stay consumed.
+
+The object form — :class:`~repro.exec.trace.FetchUnit` holding
+:class:`~repro.exec.trace.DynOp`\\ s — survives as a view:
+:meth:`units` rebuilds it losslessly, and :meth:`capture` packs such a
+stream (hand-built or transformed ones, e.g. in tests). Icache line
+spans (first/last line per unit) are precomputed per line size and
+cached on the trace.
 
 The serialized form (:meth:`to_bytes`/:meth:`from_bytes`) is a small
 struct header plus the raw little-endian columns — deterministic for a
@@ -52,19 +58,18 @@ from array import array
 from typing import Iterable, Iterator
 
 from repro.errors import SimulationError
-from repro.exec.trace import DynOp, FetchUnit
+from repro.exec.trace import (
+    F_ATOMIC,
+    F_MISPREDICT,
+    F_SQUASHED,
+    OPF_LOAD,
+    OPF_STORE,
+    DynOp,
+    FetchUnit,
+)
 
 MAGIC = b"BPTR"
 FORMAT_VERSION = 1
-
-#: unit_flags bits
-F_MISPREDICT = 1
-F_SQUASHED = 2
-F_ATOMIC = 4
-
-#: op_flags bits
-OPF_LOAD = 1
-OPF_STORE = 2
 
 #: (attribute, array typecode) in serialization order.
 _COLUMNS = (
@@ -132,33 +137,31 @@ class PackedTrace:
     # -- capture -------------------------------------------------------
 
     @classmethod
-    def capture(cls, units: Iterable[FetchUnit]) -> "PackedTrace":
-        """Materialize a fetch-unit stream into packed columns.
+    def empty(cls) -> "PackedTrace":
+        """A trace of no units, for a capture to append to."""
+        return cls(*(
+            array(code, [0] if name.endswith("_start") else [])
+            for name, code in _COLUMNS
+        ))
 
-        The stream is consumed exactly once (it may be a live executor
-        generator — the functional execution happens *during* capture).
+    @classmethod
+    def capture(cls, units: Iterable[FetchUnit]) -> "PackedTrace":
+        """Pack a stream of :class:`FetchUnit` objects, consuming it once.
+
+        The executors write their columns directly; this packs object
+        streams built or transformed outside them.
         """
-        unit_addr = array("q")
-        unit_size = array("q")
-        unit_resolve = array("q")
-        unit_flags = array("B")
-        unit_op_start = array("q", [0])
-        op_uid = array("q")
-        op_lat = array("q")
-        op_mem = array("q")
-        op_flags = array("B")
-        op_dep_start = array("q", [0])
-        deps = array("q")
-        #: executor uid -> dense position in the op columns. Uids are
-        #: monotonic but not dense (perfect-prediction block execution
-        #: consumes ids for silently resolved variants).
+        trace = cls.empty()
+        op_uid = trace.op_uid
+        deps = trace.deps
+        #: executor uid -> dense position in the op columns
         dense: dict[int, int] = {}
 
         for unit in units:
-            unit_addr.append(unit.addr)
-            unit_size.append(unit.size_bytes)
-            unit_resolve.append(unit.resolve_index)
-            unit_flags.append(
+            trace.unit_addr.append(unit.addr)
+            trace.unit_size.append(unit.size_bytes)
+            trace.unit_resolve.append(unit.resolve_index)
+            trace.unit_flags.append(
                 (F_MISPREDICT if unit.mispredict else 0)
                 | (F_SQUASHED if unit.squashed else 0)
                 | (F_ATOMIC if unit.atomic else 0)
@@ -166,9 +169,9 @@ class PackedTrace:
             for op in unit.ops:
                 dense[op.uid] = len(op_uid)
                 op_uid.append(op.uid)
-                op_lat.append(op.lat)
-                op_mem.append(op.mem_addr)
-                op_flags.append(
+                trace.op_lat.append(op.lat)
+                trace.op_mem.append(op.mem_addr)
+                trace.op_flags.append(
                     (OPF_LOAD if op.is_load else 0)
                     | (OPF_STORE if op.is_store else 0)
                 )
@@ -179,13 +182,9 @@ class PackedTrace:
                         f"op {op.uid} depends on {exc.args[0]}, which is "
                         f"not an earlier op of the captured stream"
                     ) from None
-                op_dep_start.append(len(deps))
-            unit_op_start.append(len(op_uid))
-
-        return cls(
-            unit_addr, unit_size, unit_resolve, unit_flags, unit_op_start,
-            op_uid, op_lat, op_mem, op_flags, op_dep_start, deps,
-        )
+                trace.op_dep_start.append(len(deps))
+            trace.unit_op_start.append(len(op_uid))
+        return trace
 
     # -- sizes ---------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Since the packed-trace subsystem (docs/performance.md) this module
 splits one simulation into two phases:
 
-* **capture** — run the functional executor (with its predictor) once
-  and pack the dynamic fetch-unit stream into a
+* **capture** — run the functional executor (with its predictor) once;
+  it writes the dynamic fetch-unit stream straight into a
   :class:`~repro.sim.packed.PackedTrace`, bundled with the architectural
   counters as a :class:`CapturedRun`. The stream depends only on the
   program and the predictor configuration
@@ -270,7 +270,7 @@ def capture_conventional(
     tel = telemetry if telemetry is not None else get_telemetry()
     executor, predictor = _conventional_executor(prog, config)
     with tel.span("sim.capture", benchmark=prog.name, isa="conventional"):
-        trace = PackedTrace.capture(executor.units())
+        trace = executor.capture()
     return CapturedRun(
         name=prog.name,
         isa="conventional",
@@ -292,7 +292,7 @@ def capture_block_structured(
     tel = telemetry if telemetry is not None else get_telemetry()
     executor, predictor = _block_executor(prog, config)
     with tel.span("sim.capture", benchmark=prog.name, isa="block"):
-        trace = PackedTrace.capture(executor.units())
+        trace = executor.capture()
     return CapturedRun(
         name=prog.name,
         isa="block",
@@ -512,10 +512,11 @@ def simulate_streaming(
     telemetry: Telemetry | None = None,
     insight=None,
 ) -> SimResult:
-    """The original single-pass path: the timing engine consumes the
-    executor's live generator, no trace is materialized.
+    """The original single-pass timing loop: the timing engine
+    consumes the captured stream as :class:`~repro.exec.trace.FetchUnit`
+    objects (the executor's :meth:`units` view).
 
-    Kept as the reference oracle for the packed path: tests and
+    Kept as the reference oracle for the packed replay: tests and
     ``bsisa perf`` assert :func:`replay_captured` produces bit-identical
     results (``dataclasses.asdict`` equality) to this function.
     """

@@ -1,0 +1,109 @@
+"""Capture goldens: every suite capture pinned byte for byte.
+
+``tests/goldens/suite_captures.json`` holds, for each
+``(SUITE benchmark, isa, predictor_key)`` capture that
+:data:`~repro.harness.experiments.EXPERIMENT_RUNS` plans, the sha256 of
+the packed trace's :meth:`~repro.sim.packed.PackedTrace.to_bytes` and
+of ``dataclasses.asdict`` of the architectural stats. The end-to-end
+goldens (``tests/test_goldens.py``) pin one benchmark at the default
+config, and a trace that is wrong the same way every time passes any
+check that replays the same capture twice; these pin the captured
+stream itself, so a change to the functional executors or the packer
+that moves a single uid, dependence, flag or counter fails here.
+
+After an *intentional* change to the captured stream, regenerate with
+
+    pytest tests/test_capture_goldens.py --update-goldens
+
+and review the golden diff like any other code change.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.core.toolchain import Toolchain
+from repro.harness.experiments import EXPERIMENT_RUNS
+from repro.sim.run import capture_run, predictor_key
+from repro.workloads import SUITE
+
+GOLDEN_PATH = Path(__file__).parent / "goldens" / "suite_captures.json"
+CAPTURE_SCALE = 0.02
+
+
+def planned_captures() -> dict[str, tuple]:
+    """``"bench/isa/key"`` -> ``(benchmark, isa, config)`` for each
+    distinct capture the declared experiments need, first config wins."""
+    captures: dict[str, tuple] = {}
+    for declare in EXPERIMENT_RUNS.values():
+        for spec in declare(list(SUITE)):
+            key = "/".join(
+                (spec.benchmark, spec.isa)
+                + tuple(str(p) for p in predictor_key(spec.config))
+            )
+            captures.setdefault(key, (spec.benchmark, spec.isa, spec.config))
+    return captures
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def measure_captures() -> dict[str, dict[str, str]]:
+    toolchain = Toolchain()
+    pairs: dict[str, object] = {}
+    measured = {}
+    for key, (name, isa, config) in sorted(planned_captures().items()):
+        if name not in pairs:
+            pairs[name] = toolchain.compile(
+                SUITE[name].source(CAPTURE_SCALE), name
+            )
+        captured = capture_run(getattr(pairs[name], isa), isa, config)
+        stats = json.dumps(dataclasses.asdict(captured.stats), sort_keys=True)
+        measured[key] = {
+            "trace": _sha256(captured.trace.to_bytes()),
+            "stats": _sha256(stats.encode()),
+        }
+    return measured
+
+
+def test_plan_has_32_captures():
+    """Eight benchmarks x two ISAs x (real, perfect) prediction."""
+    assert len(planned_captures()) == 32
+
+
+def test_suite_captures_match_golden(request):
+    measured = measure_captures()
+    if request.config.getoption("--update-goldens"):
+        GOLDEN_PATH.write_text(
+            json.dumps(
+                {"scale": CAPTURE_SCALE, "captures": measured},
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n"
+        )
+        pytest.skip(f"updated {GOLDEN_PATH.name}")
+    assert GOLDEN_PATH.is_file(), (
+        f"golden {GOLDEN_PATH} is missing — create it with "
+        "`pytest tests/test_capture_goldens.py --update-goldens`"
+    )
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert golden["scale"] == CAPTURE_SCALE
+    stale = [
+        f"{key}.{field}"
+        for key in sorted(set(golden["captures"]) | set(measured))
+        for field in ("trace", "stats")
+        if golden["captures"].get(key, {}).get(field)
+        != measured.get(key, {}).get(field)
+    ]
+    assert not stale, (
+        f"{GOLDEN_PATH.name} is stale — captured streams changed:\n  "
+        + "\n  ".join(stale)
+        + "\nIf intentional, regenerate with --update-goldens and review."
+    )

@@ -6,11 +6,11 @@ from __future__ import annotations
 import pytest
 
 from repro.backend.enlarge import EnlargeConfig
-from repro.check import CosimChecker
+from repro.check import CosimChecker, cosim
 from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
 from repro.sim.engine import TimingEngine
-from repro.sim.packed import PackedTrace
+from repro.sim.packed import F_SQUASHED
 
 from tests.conftest import FEATURE_PROGRAM
 
@@ -82,18 +82,21 @@ class TestBrokenPrograms:
     def test_injected_trace_corruption_is_caught(self, monkeypatch):
         """A trace capture that mislabels a squashed unit as clean
         must be caught by the retired-stream / conservation checks."""
+        orig = cosim.capture_run
+        tampered = []
 
-        def tampered(units):
-            def strip(stream):
-                for unit in stream:
-                    unit.squashed = False
-                    yield unit
+        def tamper(*args, **kwargs):
+            captured = orig(*args, **kwargs)
+            flags = captured.trace.unit_flags
+            for u, bits in enumerate(flags):
+                if bits & F_SQUASHED:
+                    flags[u] = bits & ~F_SQUASHED
+                    tampered.append(u)
+            return captured
 
-            return tampered.orig(strip(units))
-
-        tampered.orig = PackedTrace.capture
-        monkeypatch.setattr(PackedTrace, "capture", tampered)
+        monkeypatch.setattr(cosim, "capture_run", tamper)
         report = CosimChecker().check_source(SMALL_PROGRAM, "tampered")
+        assert tampered, "the capture had no squashed unit to mislabel"
         assert not report.ok
 
     def test_crash_becomes_violation(self, monkeypatch):

@@ -1,8 +1,16 @@
 """Dynamic-trace invariants: dep edges point backwards, uids are unique,
 unit shapes match the fetch rules."""
 
+import dataclasses
+import random
+
+import pytest
+
+from repro.check import generate_program
+from repro.exec import interpret_module
 from repro.exec.block import BlockExecutor
 from repro.exec.conventional import ConventionalExecutor
+from repro.isa.program import BlockProgram
 from repro.sim.predictors import BlockPredictor, GsharePredictor
 from tests.conftest import compile_cached, FEATURE_PROGRAM
 
@@ -79,22 +87,63 @@ def test_mispredicted_units_point_at_their_branch(feature_pair):
         assert unit.resolve_index == len(unit.ops) - 1
 
 
-def test_trace_vs_notrace_same_architecture(feature_pair, feature_golden):
-    traced = ConventionalExecutor(feature_pair.conventional, trace=True)
-    list(traced.units())
-    untraced = ConventionalExecutor(feature_pair.conventional, trace=False)
+def _assert_trace_is_invisible(executor_cls, prog, predictor_factory):
+    """Recording the trace must not change a single architectural
+    counter or output, with or without a predictor in the loop."""
+    predictor = predictor_factory and predictor_factory(prog)
+    traced = executor_cls(prog, predictor=predictor, trace=True)
+    trace = traced.capture()
+    predictor = predictor_factory and predictor_factory(prog)
+    untraced = executor_cls(prog, predictor=predictor, trace=False)
     untraced.run()
-    assert traced.outputs == untraced.outputs == feature_golden
-    assert traced.stats.dyn_ops == untraced.stats.dyn_ops
+    assert trace.num_units > 0
+    assert dataclasses.asdict(traced.stats) == dataclasses.asdict(
+        untraced.stats
+    )
+    return traced.stats
+
+
+PREDICTORS = {
+    "perfect": None,
+    "real": lambda prog: (
+        BlockPredictor(prog) if isinstance(prog, BlockProgram)
+        else GsharePredictor()
+    ),
+}
+
+
+def test_trace_vs_notrace_same_architecture(feature_pair, feature_golden):
+    for factory in PREDICTORS.values():
+        stats = _assert_trace_is_invisible(
+            ConventionalExecutor, feature_pair.conventional, factory
+        )
+        assert stats.outputs == feature_golden
 
 
 def test_block_trace_vs_notrace_same_architecture(feature_pair, feature_golden):
-    traced = BlockExecutor(feature_pair.block, trace=True)
-    list(traced.units())
-    untraced = BlockExecutor(feature_pair.block, trace=False)
-    untraced.run()
-    assert traced.outputs == untraced.outputs == feature_golden
-    assert traced.stats.committed_ops == untraced.stats.committed_ops
+    for factory in PREDICTORS.values():
+        stats = _assert_trace_is_invisible(
+            BlockExecutor, feature_pair.block, factory
+        )
+        assert stats.outputs == feature_golden
+
+
+@pytest.mark.parametrize("mode", PREDICTORS)
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_vs_notrace_generated_programs(seed, mode):
+    """The random programs tests/test_packed_trace.py round-trips, on
+    both ISAs and in both predictor modes."""
+    source = generate_program(random.Random(f"packed:{seed}"))
+    pair = compile_cached(source, f"packed{seed}")
+    golden = interpret_module(pair.module)
+    for executor_cls, prog in (
+        (ConventionalExecutor, pair.conventional),
+        (BlockExecutor, pair.block),
+    ):
+        stats = _assert_trace_is_invisible(
+            executor_cls, prog, PREDICTORS[mode]
+        )
+        assert stats.outputs == golden
 
 
 def test_store_to_load_dependences_present():
