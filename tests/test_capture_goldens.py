@@ -54,16 +54,33 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+_PAIRS: dict[str, object] = {}
+_CAPTURES: dict[tuple, object] = {}
+
+
+def compiled(name: str):
+    """*name* compiled at :data:`CAPTURE_SCALE`, once per session."""
+    if name not in _PAIRS:
+        _PAIRS[name] = Toolchain().compile(
+            SUITE[name].source(CAPTURE_SCALE), name
+        )
+    return _PAIRS[name]
+
+
+def captured_run(name: str, isa: str, config):
+    """The capture of *name* on *isa* under *config*'s predictor, once
+    per session (the results goldens replay the same captures)."""
+    memo = (name, isa, predictor_key(config))
+    if memo not in _CAPTURES:
+        program = getattr(compiled(name), isa)
+        _CAPTURES[memo] = capture_run(program, isa, config)
+    return _CAPTURES[memo]
+
+
 def measure_captures() -> dict[str, dict[str, str]]:
-    toolchain = Toolchain()
-    pairs: dict[str, object] = {}
     measured = {}
     for key, (name, isa, config) in sorted(planned_captures().items()):
-        if name not in pairs:
-            pairs[name] = toolchain.compile(
-                SUITE[name].source(CAPTURE_SCALE), name
-            )
-        captured = capture_run(getattr(pairs[name], isa), isa, config)
+        captured = captured_run(name, isa, config)
         stats = json.dumps(dataclasses.asdict(captured.stats), sort_keys=True)
         measured[key] = {
             "trace": _sha256(captured.trace.to_bytes()),
