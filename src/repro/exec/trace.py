@@ -5,8 +5,9 @@ flat columns of a :class:`~repro.sim.packed.PackedTrace` as they run;
 the flag bits of those columns are defined here, next to the object
 form of the same stream. That object form — :class:`FetchUnit`\\ s
 holding :class:`DynOp`\\ s, rebuilt by
-:meth:`~repro.sim.packed.PackedTrace.units` — is what the streaming
-timing loop, the trace-cache fetch model and tests consume. A ``DynOp``
+:meth:`~repro.sim.packed.PackedTrace.units` and packed back by
+:meth:`~repro.sim.packed.PackedTrace.capture` — is what the trace-cache
+fetch model and hand-built test streams use. A ``DynOp``
 carries everything timing needs: latency class, dataflow predecessors
 (dynamic op ids of the producers of its source registers, plus the
 producing store for loads), and the memory address for cache modelling.

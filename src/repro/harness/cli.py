@@ -14,7 +14,7 @@
     bsisa simulate gcc --metrics-json out.json  # unified telemetry artifact
     bsisa metrics compress              # print the metric series of a run
     bsisa metrics compress --trace-cache    # include conventional+tc run
-    bsisa perf --benchmarks compress gcc    # capture/replay/streaming timings
+    bsisa perf --benchmarks compress gcc    # capture/replay/vector timings
     bsisa perf -o BENCH_sim.json        # schema-versioned perf artifact
     bsisa perf --compare BENCH_sim.json # speed deltas vs the committed baseline
     bsisa perf --kernel numpy           # force the vectorized replay kernel
@@ -384,7 +384,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    """Time capture vs. replay vs. streaming; write BENCH_sim.json."""
+    """Time capture vs. scalar vs. vector replay; write BENCH_sim.json."""
     import json
 
     from repro.harness.perf import (
@@ -1004,7 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="time capture/replay/streaming per benchmark "
+        help="time capture/replay/vector/sweep per benchmark "
         "(BENCH_sim.json artifact)",
     )
     perf.add_argument(
@@ -1025,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare",
         metavar="PATH",
         help="diff against a baseline BENCH_sim.json; exit 1 when a "
-        "replay/streaming/vector phase regresses more than 20%%",
+        "capture/replay/vector/sweep phase regresses more than 20%%",
     )
     perf.add_argument(
         "--kernel",

@@ -10,10 +10,9 @@ Renders, for a single source file:
    variant against its canonical block (the ops the enlarger added,
    the embedded branch directions, fault/trap annotations).
 
-The promoted, supported form of ``examples/compiler_explorer.py``:
-that script now delegates here, and the CLI front end
-(:func:`repro.harness.cli._cmd_explore`) adds file handling and the
-exit-code contract on top of :func:`render_exploration`.
+The CLI front end (:func:`repro.harness.cli._cmd_explore`) adds file
+handling and the exit-code contract on top of
+:func:`render_exploration`.
 """
 
 from __future__ import annotations

@@ -1,15 +1,12 @@
 """``bsisa perf`` — the repo's performance-trajectory artifact.
 
-Times the three phases of the packed-trace pipeline per benchmark × ISA
+Times the phases of the packed-trace pipeline per benchmark × ISA
 (docs/performance.md):
 
 * **capture**  — functional execution, which writes the
   :class:`~repro.sim.packed.PackedTrace` columns as it runs;
 * **replay**   — :meth:`~repro.sim.engine.TimingEngine.run_packed` over
-  the flat arrays (the scalar Python replayer);
-* **streaming** — the original single-pass pipeline
-  (:func:`~repro.sim.run.simulate_streaming`), the baseline replay is
-  measured against;
+  the flat arrays (the scalar Python replayer, the reference);
 * **vector**   — the vectorized column kernel
   (:mod:`repro.sim.vector`), timed *warm*: one untimed replay first
   builds the kernel's per-trace prep columns and proves its fast paths,
@@ -25,17 +22,19 @@ Times the three phases of the packed-trace pipeline per benchmark × ISA
   Emitted for every kernel — without numpy both legs run the grouped
   scalar fallback and the ratio hovers near 1.
 
-Every replay — scalar and vectorized — is asserted bit-identical to the
-streaming run (``dataclasses.asdict`` equality) so the artifact doubles
-as an end-to-end correctness check — CI's perf-smoke job fails on
-``stats_match: false`` or ``vector_match: false``. The document is schema-versioned
+The vectorized replay is asserted bit-identical to the scalar one
+(``vector_match``, ``dataclasses.asdict`` equality) and the batched
+sweep to the per-config one (``sweep_match``), so the artifact doubles
+as an end-to-end correctness check: ``totals.stats_match`` is their
+conjunction and sets the exit code, and CI's perf-smoke job fails on
+any ``false``. The document is schema-versioned
 (:data:`~repro.obs.schema.BENCH_SCHEMA_ID`) and validated by
 ``python -m repro.obs.schema BENCH_sim.json``.
 
 Timed regions run under the process-wide *disabled* telemetry session,
 so they measure the zero-cost telemetry-off paths; pass an enabled
 session to also record ``perf.capture``/``perf.replay``/
-``perf.streaming`` spans around each phase.
+``perf.vector``/``perf.sweep*`` spans around each phase.
 """
 
 from __future__ import annotations
@@ -51,12 +50,7 @@ from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
-from repro.sim.run import (
-    capture_run,
-    replay_captured,
-    replay_sweep,
-    simulate_streaming,
-)
+from repro.sim.run import capture_run, replay_captured, replay_sweep
 from repro.workloads import SUITE
 
 ISAS = ("conventional", "block")
@@ -78,7 +72,7 @@ def benchmark_one(
     telemetry: Telemetry | None = None,
     kernel: str = "auto",
 ) -> list[dict]:
-    """Capture/replay/streaming timings for one benchmark, both ISAs."""
+    """Capture/replay/vector/sweep timings for one benchmark, both ISAs."""
     config = config or MachineConfig()
     tel = telemetry if telemetry is not None else get_telemetry()
     time_vector = kernel != "python" and vector.HAVE_NUMPY
@@ -99,23 +93,16 @@ def benchmark_one(
             lambda: replay_captured(captured, config, kernel="python"),
             **labels
         )
-        streamed, streaming_s = _timed(
-            tel, "perf.streaming",
-            lambda: simulate_streaming(program, isa, config), **labels
-        )
         entry = {
             "benchmark": benchmark,
             "isa": isa,
             "compile_s": compile_s,
             "capture_s": capture_s,
             "replay_s": replay_s,
-            "streaming_s": streaming_s,
             "units": captured.trace.num_units,
             "ops": captured.trace.num_ops,
             "trace_bytes": captured.trace.nbytes,
             "cycles": replayed.cycles,
-            "stats_match": dataclasses.asdict(replayed)
-            == dataclasses.asdict(streamed),
         }
         if time_vector:
             # Warm-up replay (untimed): builds the kernel's cached prep
@@ -131,7 +118,7 @@ def benchmark_one(
             entry["vector_s"] = vector_s
             entry["vector_match"] = dataclasses.asdict(
                 vectored
-            ) == dataclasses.asdict(streamed)
+            ) == dataclasses.asdict(replayed)
         entry.update(
             _sweep_columns(
                 tel, captured, config,
@@ -183,23 +170,11 @@ def _sweep_columns(tel, captured, config, kernel, labels) -> dict:
 
 
 def _totals(entries: list[dict]) -> dict:
-    capture_s = sum(e["capture_s"] for e in entries)
     replay_s = sum(e["replay_s"] for e in entries)
-    streaming_s = sum(e["streaming_s"] for e in entries)
     totals = {
-        "capture_s": capture_s,
+        "capture_s": sum(e["capture_s"] for e in entries),
         "replay_s": replay_s,
-        "streaming_s": streaming_s,
-        # warm: the trace already exists (every sweep point after the
-        # first); cold: capture amortized into the very first replay.
-        "speedup_warm": streaming_s / replay_s if replay_s else 0.0,
-        "speedup_cold": (
-            streaming_s / (capture_s + replay_s)
-            if capture_s + replay_s
-            else 0.0
-        ),
-        "stats_match": all(e["stats_match"] for e in entries)
-        and all(e.get("vector_match", True) for e in entries)
+        "stats_match": all(e.get("vector_match", True) for e in entries)
         and all(e.get("sweep_match", True) for e in entries),
     }
     if entries and all("sweep_s" in e for e in entries):
@@ -214,10 +189,6 @@ def _totals(entries: list[dict]) -> dict:
     if entries and all("vector_s" in e for e in entries):
         vector_s = sum(e["vector_s"] for e in entries)
         totals["vector_s"] = vector_s
-        #: streaming -> vector: the full-pipeline speedup
-        totals["speedup_vector"] = (
-            streaming_s / vector_s if vector_s else 0.0
-        )
         #: python replay -> vector replay: ISSUE 8's >=5x target
         totals["replay_vs_vector"] = (
             replay_s / vector_s if vector_s else 0.0
@@ -260,9 +231,7 @@ REGRESSION_THRESHOLD = 0.20
 #: (docs/performance.md). vector_s/sweep_s only gate when both
 #: documents carry them (numpy present on both sides, sweep columns
 #: present on both sides).
-_GATED_FIELDS = (
-    "capture_s", "replay_s", "streaming_s", "vector_s", "sweep_s"
-)
+_GATED_FIELDS = ("capture_s", "replay_s", "vector_s", "sweep_s")
 
 
 def compare_documents(
@@ -281,7 +250,7 @@ def compare_documents(
     }
     lines = [
         f"{'benchmark':12s} {'isa':13s} {'capture':>9s} {'replay':>9s} "
-        f"{'streaming':>9s} {'vector':>9s} {'sweep':>9s}  vs baseline"
+        f"{'vector':>9s} {'sweep':>9s}  vs baseline"
     ]
     regressions: list[str] = []
     for entry in new["benchmarks"]:
@@ -290,7 +259,7 @@ def compare_documents(
         if base is None:
             lines.append(
                 f"{entry['benchmark']:12s} {entry['isa']:13s} "
-                f"{'—':>9s} {'—':>9s} {'—':>9s} {'—':>9s} {'—':>9s}  "
+                f"{'—':>9s} {'—':>9s} {'—':>9s} {'—':>9s}  "
                 f"(no baseline entry)"
             )
             continue
@@ -331,11 +300,10 @@ def render(doc: dict) -> str:
     """Human-readable table of one perf document."""
     lines = [
         f"{'benchmark':12s} {'isa':13s} {'capture':>9s} {'replay':>9s} "
-        f"{'streaming':>9s} {'vector':>9s} {'sweep':>9s} {'warm x':>7s} "
-        f"{'vec x':>7s} {'swp x':>7s} {'ops':>10s} match"
+        f"{'vector':>9s} {'sweep':>9s} {'vec x':>7s} {'swp x':>7s} "
+        f"{'ops':>10s} match"
     ]
     for e in doc["benchmarks"]:
-        warm = e["streaming_s"] / e["replay_s"] if e["replay_s"] else 0.0
         if "vector_s" in e:
             vec_col = f"{e['vector_s']:8.3f}s"
             vec_x = (
@@ -358,35 +326,27 @@ def render(doc: dict) -> str:
             sweep_x = f"{'—':>7s}"
         match = (
             "ok"
-            if e["stats_match"]
-            and e.get("vector_match", True)
-            and e.get("sweep_match", True)
+            if e.get("vector_match", True) and e.get("sweep_match", True)
             else "MISMATCH"
         )
         lines.append(
             f"{e['benchmark']:12s} {e['isa']:13s} {e['capture_s']:8.3f}s "
-            f"{e['replay_s']:8.3f}s {e['streaming_s']:8.3f}s {vec_col} "
-            f"{sweep_col} {warm:6.2f}x {vec_x} {sweep_x} "
-            f"{e['ops']:10,d} {match}"
+            f"{e['replay_s']:8.3f}s {vec_col} {sweep_col} {vec_x} "
+            f"{sweep_x} {e['ops']:10,d} {match}"
         )
     t = doc["totals"]
     extras = []
     if "vector_s" in t:
-        extras.append(
-            f"vector {t['speedup_vector']:.2f}x vs streaming, "
-            f"{t['replay_vs_vector']:.2f}x vs python replay"
-        )
+        extras.append(f"vector {t['replay_vs_vector']:.2f}x vs python replay")
     if "sweep_s" in t:
         extras.append(
             f"sweep {t['speedup_sweep']:.2f}x vs per-config"
         )
-    extras.append(f"cold {t['speedup_cold']:.2f}x")
     vec_tot = f"{t['vector_s']:8.3f}s" if "vector_s" in t else f"{'—':>9s}"
     sweep_tot = f"{t['sweep_s']:8.3f}s" if "sweep_s" in t else f"{'—':>9s}"
     lines.append(
         f"{'total':12s} {'':13s} {t['capture_s']:8.3f}s "
-        f"{t['replay_s']:8.3f}s {t['streaming_s']:8.3f}s {vec_tot} "
-        f"{sweep_tot} {t['speedup_warm']:6.2f}x "
-        f"({', '.join(extras)})"
+        f"{t['replay_s']:8.3f}s {vec_tot} {sweep_tot}"
+        + (f" ({', '.join(extras)})" if extras else "")
     )
     return "\n".join(lines)

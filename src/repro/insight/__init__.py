@@ -5,8 +5,9 @@ attributing every simulated cycle to exactly one cause bucket, and
 fetch-rate / block-utilization distributions — the paper's fetch-rate
 argument as a full explanation, not just end-of-run aggregates.
 
-* :mod:`repro.insight.collector` — the streaming aggregator both engine
-  paths (``run`` and ``run_packed``) feed identically;
+* :mod:`repro.insight.collector` — the per-unit aggregator both replay
+  kernels (the scalar ``run_packed`` and :mod:`repro.sim.vector`) feed
+  identically;
 * :mod:`repro.insight.report` — the :class:`InsightReport` record, the
   ``repro.insight/v1`` artifact, ASCII rendering;
 * :mod:`repro.insight.timeline` — per-cycle occupancy reconstruction

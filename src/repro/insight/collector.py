@@ -1,8 +1,8 @@
 """Streaming per-unit analytics aggregator for the timing engine.
 
-An :class:`InsightCollector` rides along one timed run — streaming
-(:meth:`~repro.sim.engine.TimingEngine.run`) or packed replay
-(:meth:`~repro.sim.engine.TimingEngine.run_packed`) — and accumulates
+An :class:`InsightCollector` rides along one timed replay — scalar
+(:meth:`~repro.sim.engine.TimingEngine.run_packed`) or vectorized
+(:mod:`repro.sim.vector`) — and accumulates
 the two observability products of docs/observability.md:
 
 * the **fetch-rate histogram**: ops delivered per *busy* fetch cycle

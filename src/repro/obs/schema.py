@@ -26,7 +26,7 @@ from repro.obs.telemetry import SCHEMA_ID
 _NUMBER = (int, float)
 
 #: Schema id of the ``bsisa perf`` artifact (docs/performance.md).
-BENCH_SCHEMA_ID = "repro.bench/v1"
+BENCH_SCHEMA_ID = "repro.bench/v2"
 
 #: Schema id of the ``bsisa verify-paper`` artifact (docs/fidelity.md).
 FIDELITY_SCHEMA_ID = "repro.fidelity/v1"
@@ -175,25 +175,18 @@ _BENCH_ENTRY_NUMBERS = (
     "compile_s",
     "capture_s",
     "replay_s",
-    "streaming_s",
     "units",
     "ops",
     "trace_bytes",
 )
-_BENCH_TOTAL_NUMBERS = (
-    "capture_s",
-    "replay_s",
-    "streaming_s",
-    "speedup_warm",
-    "speedup_cold",
-)
+_BENCH_TOTAL_NUMBERS = ("capture_s", "replay_s")
 #: Present only when the vectorized replay kernel ran (numpy installed
 #: and the kernel not forced to 'python') — validated when present.
 _BENCH_ENTRY_VECTOR_NUMBERS = ("vector_s",)
-_BENCH_TOTAL_VECTOR_NUMBERS = ("vector_s", "speedup_vector", "replay_vs_vector")
+_BENCH_TOTAL_VECTOR_NUMBERS = ("vector_s", "replay_vs_vector")
 #: The batched-sweep columns (docs/performance.md, "Sweep-batched
-#: replay"). ``bsisa perf`` emits them for every kernel, but older
-#: documents predate them — validated when present.
+#: replay"). ``bsisa perf`` emits them for every kernel; validated
+#: when present.
 _BENCH_ENTRY_SWEEP_NUMBERS = ("sweep_s", "sweep_per_config_s", "sweep_points")
 _BENCH_TOTAL_SWEEP_NUMBERS = ("sweep_s", "sweep_per_config_s", "speedup_sweep")
 
@@ -225,8 +218,6 @@ def bench_document_errors(doc) -> list[str]:
             value = entry.get(field)
             if not isinstance(value, _NUMBER) or value < 0:
                 errors.append(f"{where}: {field} must be a non-negative number")
-        if not isinstance(entry.get("stats_match"), bool):
-            errors.append(f"{where}: stats_match must be a bool")
         for field in _BENCH_ENTRY_VECTOR_NUMBERS + _BENCH_ENTRY_SWEEP_NUMBERS:
             if field in entry and (
                 not isinstance(entry[field], _NUMBER) or entry[field] < 0

@@ -2,9 +2,11 @@
 
 The simulator is *functional-directed*: the executors in
 :mod:`repro.exec` produce the dynamic fetch-unit stream (with predictor
-interplay) and :mod:`repro.sim.engine` replays it through fetch (icache),
-dispatch (instruction window), dataflow issue (16 uniform FUs, Table-1
-latencies), dcache, misprediction redirects, and in-order retirement.
+interplay) as a :class:`PackedTrace`, and :mod:`repro.sim.engine` (the
+scalar reference) or :mod:`repro.sim.vector` (the fast kernel) replays
+it through fetch (icache), dispatch (instruction window), dataflow issue
+(16 uniform FUs, Table-1 latencies), dcache, misprediction redirects,
+and in-order retirement.
 See DESIGN.md §6 for the methodology discussion.
 """
 
@@ -24,7 +26,6 @@ from repro.sim.run import (
     replay_captured,
     simulate_block_structured,
     simulate_conventional,
-    simulate_streaming,
 )
 from repro.sim.predictors import (
     BlockPredictor,
@@ -36,14 +37,11 @@ from repro.sim.tracecache import (
     TraceCacheFetch,
     simulate_conventional_with_trace_cache,
 )
-from repro.sim.analysis import BottleneckReport, analyze_bottlenecks
 
 __all__ = [
     "TraceCacheConfig",
     "TraceCacheFetch",
     "simulate_conventional_with_trace_cache",
-    "BottleneckReport",
-    "analyze_bottlenecks",
     "CacheConfig",
     "MachineConfig",
     "Cache",
@@ -62,7 +60,6 @@ __all__ = [
     "replay_captured",
     "simulate_conventional",
     "simulate_block_structured",
-    "simulate_streaming",
     "GsharePredictor",
     "BlockPredictor",
     "StaticTakenPredictor",

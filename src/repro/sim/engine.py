@@ -1,7 +1,10 @@
-"""The timing engine: replays a dynamic fetch-unit stream through the
+"""The timing engine: replays a captured fetch-unit stream through the
 machine model and produces a cycle count.
 
-One forward pass over the stream (DESIGN.md §6). Per unit:
+:meth:`TimingEngine.run_packed` is the scalar reference: one forward
+pass over the columns of a :class:`~repro.sim.packed.PackedTrace`
+(DESIGN.md §6). :mod:`repro.sim.vector` is the fast kernel, held
+bit-identical to it. Per unit:
 
 * **fetch** — one unit per cycle, at most ``fetch_lines`` contiguous
   icache lines; spanning more lines costs extra cycles; an icache miss
@@ -22,10 +25,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.errors import SimulationError
-from repro.exec.trace import FetchUnit
 from repro.obs.events import (
     EV_FAULT_SQUASH,
     EV_FETCH,
@@ -104,7 +105,7 @@ class TimingStats:
 
 
 class TimingEngine:
-    """Consumes a fetch-unit stream; produces :class:`TimingStats`."""
+    """Replays a packed fetch-unit stream; produces :class:`TimingStats`."""
 
     def __init__(
         self,
@@ -116,8 +117,8 @@ class TimingEngine:
         self.config = config
         self.atomic_window = atomic_window
         self.telemetry = telemetry
-        #: optional repro.insight.InsightCollector fed by both loops;
-        #: disabled cost is one None-check per fetch unit
+        #: optional repro.insight.InsightCollector fed by both replay
+        #: kernels; disabled cost is one None-check per fetch unit
         self.insight = insight
         self.icache = (
             Cache(config.icache) if config.icache is not None else PerfectCache()
@@ -127,253 +128,13 @@ class TimingEngine:
         )
         self.stats = TimingStats()
 
-    def run(self, units: Iterable[FetchUnit]) -> TimingStats:
-        config = self.config
-        stats = self.stats
-        icache = self.icache
-        dcache = self.dcache
-        tel = self.telemetry if self.telemetry is not None else get_telemetry()
-        # Hoisted once: the disabled path costs one None-check per event
-        # site, never a call.
-        events = tel.trace if tel.enabled else None
-        ins = self.insight
-        line_bytes = (
-            config.icache.line_bytes if config.icache is not None else 64
-        )
-        fu_count = config.fu_count
-        l2 = config.l2_latency
-        depth = config.frontend_depth
-        penalty = config.mispredict_penalty
-        retire_width = config.retire_width
-
-        completion: dict[int, int] = {}
-        fu_sched = FuSchedule(fu_count)
-        #: min-heap of window-slot release cycles (ops or blocks)
-        window: list[int] = []
-        window_capacity = (
-            config.window_blocks if self.atomic_window else config.window_ops
-        )
-        # Both machines are "identically configured" (paper §5): the
-        # conventional core also tracks at most window_blocks in-flight
-        # fetch units (HPS checkpoints one unit per fetched block), in
-        # addition to its op-granular window.
-        unit_window: list[int] = []
-        unit_capacity = config.window_blocks
-
-        next_fetch = 0
-        redirect_at = 0
-        # retirement bookkeeping: (cycle, ops retired that cycle)
-        retire_cycle = 0
-        retire_count = 0
-        max_cycle = 0
-
-        for unit in units:
-            stats.fetched_units += 1
-            nops = len(unit.ops)
-            stats.fetched_ops += nops
-
-            # ---- fetch -------------------------------------------------
-            fetch = max(next_fetch, redirect_at)
-            if redirect_at > next_fetch:
-                gap = redirect_at - next_fetch
-                stats.redirect_stall_cycles += gap
-            else:
-                gap = 0
-            first_line = unit.addr // line_bytes
-            last_line = (unit.addr + max(unit.size_bytes, 1) - 1) // line_bytes
-            nlines = last_line - first_line + 1
-            fetch_cycles = (nlines + config.fetch_lines - 1) // config.fetch_lines
-            stall = 0
-            for line in range(first_line, last_line + 1):
-                stats.icache_accesses += 1
-                if not icache.access_line(line):
-                    stats.icache_misses += 1
-                    stall = l2
-                    if events is not None:
-                        events.emit(EV_ICACHE_MISS, fetch, line=line)
-            stats.fetch_stall_cycles += stall + (fetch_cycles - 1)
-            fetch_end = fetch + fetch_cycles - 1 + stall
-            next_fetch = fetch_end + 1
-            # Every FU access for this and all later units happens at or
-            # after dispatch + 1 >= fetch_end + depth + 1, and fetch_end
-            # is strictly monotonic — safe to slide the schedule window.
-            fu_sched.advance_floor(fetch_end + depth + 1)
-            if events is not None:
-                events.emit(
-                    EV_FETCH,
-                    fetch,
-                    addr=unit.addr,
-                    ops=nops,
-                    lines=nlines,
-                    unit=stats.fetched_units,
-                )
-
-            # ---- dispatch (window gating) --------------------------------
-            dispatch = fetch_end + depth
-            if self.atomic_window:
-                if len(window) >= window_capacity:
-                    released = heapq.heappop(window)
-                    if released > dispatch:
-                        stats.window_stall_cycles += released - dispatch
-                        dispatch = released
-            else:
-                if len(unit_window) >= unit_capacity:
-                    released = heapq.heappop(unit_window)
-                    if released > dispatch:
-                        stats.window_stall_cycles += released - dispatch
-                        dispatch = released
-
-            # ---- issue / execute / retire --------------------------------
-            unit_completes: list[int] = []
-            resolve_complete = -1
-            for i, op in enumerate(unit.ops):
-                if not self.atomic_window:
-                    if len(window) >= window_capacity:
-                        released = heapq.heappop(window)
-                        if released > dispatch:
-                            dispatch = released
-                ready = dispatch + 1
-                for dep in op.deps:
-                    t = completion.get(dep, 0)
-                    if t > ready:
-                        ready = t
-                start = fu_sched.reserve(ready)
-                lat = op.lat
-                if op.mem_addr >= 0:
-                    stats.dcache_accesses += 1
-                    if not dcache.access(op.mem_addr):
-                        stats.dcache_misses += 1
-                        if op.is_load:
-                            lat += l2
-                complete = start + lat
-                completion[op.uid] = complete
-                unit_completes.append(complete)
-                if i == unit.resolve_index:
-                    resolve_complete = complete
-                if not unit.atomic and not unit.squashed:
-                    # In-order per-op retirement.
-                    r = max(complete + 1, retire_cycle)
-                    if r == retire_cycle and retire_count >= retire_width:
-                        r += 1
-                    if r > retire_cycle:
-                        retire_cycle = r
-                        retire_count = 0
-                    retire_count += 1
-                if not self.atomic_window and not unit.squashed:
-                    # Op-granular window slot frees at (estimated) retire.
-                    heapq.heappush(
-                        window,
-                        retire_cycle if not unit.atomic else complete + 1,
-                    )
-            if not self.atomic_window:
-                # The whole fetch unit's checkpoint frees when its last op
-                # retires (or, for a squashed unit, at resolve — below).
-                if not unit.squashed:
-                    heapq.heappush(unit_window, retire_cycle)
-            if ins is not None:
-                # Before the squash branch: squashed units never reach
-                # the retire section below.
-                ins.unit(
-                    gap,
-                    fetch_cycles,
-                    stall,
-                    nops,
-                    dispatch - fetch_end - depth,
-                    unit.squashed,
-                    unit.mispredict,
-                )
-
-            # ---- resolution / redirect ----------------------------------
-            if unit.squashed:
-                if resolve_complete < 0:
-                    raise SimulationError("squashed unit without resolve op")
-                stats.redirects += 1
-                stats.squashed_ops += nops
-                if events is not None:
-                    events.emit(
-                        EV_FAULT_SQUASH,
-                        resolve_complete + 1,
-                        addr=unit.addr,
-                        ops=nops,
-                        unit=stats.fetched_units,
-                    )
-                # A firing fault redirects to the (architecturally
-                # specified) target in the fault op itself — no front-end
-                # re-steer through prediction structures, so no extra
-                # refill penalty beyond resolution.
-                redirect_at = resolve_complete + 1
-                release = resolve_complete + 1
-                if self.atomic_window:
-                    heapq.heappush(window, release)
-                else:
-                    for _ in range(nops):
-                        heapq.heappush(window, release)
-                    heapq.heappush(unit_window, release)
-                if release > max_cycle:
-                    max_cycle = release
-                continue
-            if unit.mispredict:
-                if resolve_complete < 0:
-                    raise SimulationError("mispredict without resolve op")
-                stats.redirects += 1
-                redirect_at = resolve_complete + 1 + penalty
-                if events is not None:
-                    events.emit(
-                        EV_REDIRECT,
-                        redirect_at,
-                        addr=unit.addr,
-                        penalty=penalty,
-                        unit=stats.fetched_units,
-                    )
-
-            # ---- retire (atomic blocks commit together) -------------------
-            if unit.atomic:
-                # All of the block's ops become eligible to retire once the
-                # whole block has completed (atomic commit); the retire
-                # stage still moves at most retire_width ops per cycle.
-                block_done = max(unit_completes, default=dispatch) + 1
-                for _ in range(nops):
-                    r = max(block_done, retire_cycle)
-                    if r == retire_cycle and retire_count >= retire_width:
-                        r += 1
-                    if r > retire_cycle:
-                        retire_cycle = r
-                        retire_count = 0
-                    retire_count += 1
-            if self.atomic_window:
-                # Block-granular window slot frees when the unit retires.
-                heapq.heappush(window, retire_cycle)
-            stats.retired_ops += nops
-            if events is not None:
-                events.emit(
-                    EV_RETIRE,
-                    retire_cycle,
-                    addr=unit.addr,
-                    ops=nops,
-                    atomic=unit.atomic,
-                    unit=stats.fetched_units,
-                )
-            if retire_cycle > max_cycle:
-                max_cycle = retire_cycle
-
-            if next_fetch - 1 > max_cycle:
-                max_cycle = next_fetch - 1
-
-        stats.cycles = max_cycle + 1
-        if ins is not None:
-            ins.finish(stats.cycles, next_fetch)
-        return stats
-
     def run_packed(self, trace: PackedTrace) -> TimingStats:
         """Replay a :class:`~repro.sim.packed.PackedTrace`.
 
-        Bit-identical :class:`TimingStats` (and event stream) to
-        :meth:`run` over the same stream — enforced by tests across the
-        full experiment matrix — but consumes the packed columns
-        directly: completion times live in a flat list indexed by dense
-        op position, dependences are precomputed dense indices, icache
-        line spans come from the trace's cached per-geometry columns,
-        and the telemetry-off path does no per-event work.
+        Completion times live in a flat list indexed by dense op
+        position, dependences are dense indices, icache line spans come
+        from the trace's cached per-geometry columns, and the
+        telemetry-off path does no per-event work.
         """
         config = self.config
         stats = self.stats
@@ -381,6 +142,8 @@ class TimingEngine:
         dcache = self.dcache
         atomic_window = self.atomic_window
         tel = self.telemetry if self.telemetry is not None else get_telemetry()
+        # Hoisted once: the disabled path costs one None-check per event
+        # site, never a call.
         events = tel.trace if tel.enabled else None
         ins = self.insight
         line_bytes = (
@@ -412,15 +175,21 @@ class TimingEngine:
         #: completion time per op, indexed by dense op position
         completion = [0] * trace.num_ops
         fu_sched = FuSchedule(fu_count)
+        #: min-heap of window-slot release cycles (ops or blocks)
         window: list[int] = []
         window_capacity = (
             config.window_blocks if atomic_window else config.window_ops
         )
+        # Both machines are "identically configured" (paper §5): the
+        # conventional core also tracks at most window_blocks in-flight
+        # fetch units (HPS checkpoints one unit per fetched block), in
+        # addition to its op-granular window.
         unit_window: list[int] = []
         unit_capacity = config.window_blocks
 
         next_fetch = 0
         redirect_at = 0
+        # retirement bookkeeping: (cycle, ops retired that cycle)
         retire_cycle = 0
         retire_count = 0
         max_cycle = 0
@@ -458,6 +227,9 @@ class TimingEngine:
             stats.fetch_stall_cycles += stall + (fetch_cycles - 1)
             fetch_end = fetch + fetch_cycles - 1 + stall
             next_fetch = fetch_end + 1
+            # Every FU access for this and all later units happens at or
+            # after dispatch + 1 >= fetch_end + depth + 1, and fetch_end
+            # is strictly monotonic — safe to slide the schedule window.
             fu_sched.advance_floor(fetch_end + depth + 1)
             if events is not None:
                 events.emit(
@@ -561,6 +333,10 @@ class TimingEngine:
                         ops=nops,
                         unit=stats.fetched_units,
                     )
+                # A firing fault redirects to the (architecturally
+                # specified) target in the fault op itself — no front-end
+                # re-steer through prediction structures, so no extra
+                # refill penalty beyond resolution.
                 redirect_at = resolve_complete + 1
                 release = resolve_complete + 1
                 if atomic_window:
@@ -588,6 +364,9 @@ class TimingEngine:
 
             # ---- retire (atomic blocks commit together) -------------------
             if atomic:
+                # All of the block's ops become eligible to retire once the
+                # whole block has completed (atomic commit); the retire
+                # stage still moves at most retire_width ops per cycle.
                 block_done = block_last + 1
                 for _ in range(nops):
                     r = max(block_done, retire_cycle)
@@ -598,6 +377,7 @@ class TimingEngine:
                         retire_count = 0
                     retire_count += 1
             if atomic_window:
+                # Block-granular window slot frees when the unit retires.
                 push(window, retire_cycle)
             stats.retired_ops += nops
             if events is not None:

@@ -195,10 +195,3 @@ class BlockPredictor:
     @property
     def accuracy(self) -> float:
         return self.hits / self.predictions if self.predictions else 0.0
-
-    def publish(self, metrics, **labels) -> None:
-        """Publish prediction counters into a metrics registry."""
-        metrics.inc("bp.predictions", self.predictions, **labels)
-        metrics.inc("bp.hits", self.hits, **labels)
-        metrics.gauge("bp.accuracy", self.accuracy, **labels)
-        metrics.gauge("bp.btb_entries", len(self.btb), **labels)

@@ -62,12 +62,6 @@ class GsharePredictor:
     def accuracy(self) -> float:
         return self.hits / self.predictions if self.predictions else 0.0
 
-    def publish(self, metrics, **labels) -> None:
-        """Publish prediction counters into a metrics registry."""
-        metrics.inc("bp.predictions", self.predictions, **labels)
-        metrics.inc("bp.hits", self.hits, **labels)
-        metrics.gauge("bp.accuracy", self.accuracy, **labels)
-
 
 class StaticTakenPredictor:
     """Static always-taken baseline (for ablation benchmarks)."""

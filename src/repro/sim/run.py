@@ -1,7 +1,6 @@
 """Glue: compile-level program → executor → timing engine → SimResult.
 
-Since the packed-trace subsystem (docs/performance.md) this module
-splits one simulation into two phases:
+One simulation is two phases (docs/performance.md):
 
 * **capture** — run the functional executor (with its predictor) once;
   it writes the dynamic fetch-unit stream straight into a
@@ -10,16 +9,14 @@ splits one simulation into two phases:
   program and the predictor configuration
   (:func:`predictor_key`) — never on icache geometry, latencies, or
   window sizes;
-* **replay** — push the packed trace through
+* **replay** — push the packed trace through the vector kernel
+  (:mod:`repro.sim.vector`) or the scalar reference
   :meth:`~repro.sim.engine.TimingEngine.run_packed` under any machine
   config and assemble the :class:`SimResult`.
 
-``simulate_conventional``/``simulate_block_structured`` keep their
-historical signatures (capture + replay in one call, bit-identical
-results); callers sweeping machine configs — the experiment engine, the
+``simulate_conventional``/``simulate_block_structured`` do both in one
+call; callers sweeping machine configs — the experiment engine, the
 Fig. 6/7 icache sweeps — capture once and replay per config.
-:func:`simulate_streaming` keeps the original single-pass path alive as
-the oracle the packed path is tested against.
 """
 
 from __future__ import annotations
@@ -106,9 +103,8 @@ def predictor_key(config: MachineConfig) -> tuple:
 class PredictorSnapshot:
     """Predictor counters frozen at capture time.
 
-    Replays publish these instead of re-running the predictor; the
-    values match what every pre-packed run published because the
-    predictor's state depends only on the captured stream.
+    Replays publish these instead of re-running the predictor: its
+    state depends only on the captured stream.
     """
 
     predictions: int
@@ -130,7 +126,7 @@ class PredictorSnapshot:
         )
 
     def publish(self, metrics, **labels) -> None:
-        """Mirror the live predictors' ``publish`` metric set exactly."""
+        """Publish the ``bp.*`` series under *labels*."""
         metrics.inc("bp.predictions", self.predictions, **labels)
         metrics.inc("bp.hits", self.hits, **labels)
         metrics.gauge("bp.accuracy", self.accuracy, **labels)
@@ -160,7 +156,7 @@ def _publish(
     tel: Telemetry,
     result: SimResult,
     engine: TimingEngine,
-    predictor,
+    predictor: PredictorSnapshot | None,
 ) -> None:
     """Publish one simulation's counters into the session registry."""
     labels = {"benchmark": result.name, "isa": result.isa}
@@ -411,9 +407,8 @@ def replay_captured(
     insight=None,
     kernel: str = "auto",
 ) -> SimResult:
-    """Replay a captured run under *config*; bit-identical to the
-    streaming path for any config sharing the capture's
-    :func:`predictor_key`. Pass an
+    """Replay a captured run under *config* (any config sharing the
+    capture's :func:`predictor_key`). Pass an
     :class:`~repro.insight.InsightCollector` as *insight* to accumulate
     cycle-accounting and fetch-rate analytics alongside.
 
@@ -498,52 +493,3 @@ def simulate_block_structured(
     return replay_captured(
         captured, config, telemetry, insight=insight, kernel=kernel
     )
-
-
-# ---------------------------------------------------------------------------
-# Streaming reference path
-# ---------------------------------------------------------------------------
-
-
-def simulate_streaming(
-    prog: ConventionalProgram | BlockProgram,
-    isa: str,
-    config: MachineConfig | None = None,
-    telemetry: Telemetry | None = None,
-    insight=None,
-) -> SimResult:
-    """The original single-pass timing loop: the timing engine
-    consumes the captured stream as :class:`~repro.exec.trace.FetchUnit`
-    objects (the executor's :meth:`units` view).
-
-    Kept as the reference oracle for the packed replay: tests and
-    ``bsisa perf`` assert :func:`replay_captured` produces bit-identical
-    results (``dataclasses.asdict`` equality) to this function.
-    """
-    config = config or MachineConfig()
-    tel = telemetry if telemetry is not None else get_telemetry()
-    if isa == "conventional":
-        executor, predictor = _conventional_executor(prog, config)
-        build = _conventional_result
-        atomic = False
-    elif isa == "block":
-        executor, predictor = _block_executor(prog, config)
-        build = _block_result
-        atomic = True
-    else:
-        raise SimulationError(f"cannot simulate unknown isa {isa!r}")
-    engine = TimingEngine(
-        config, atomic_window=atomic, telemetry=tel, insight=insight
-    )
-    with tel.span("sim.simulate", benchmark=prog.name, isa=isa):
-        timing = engine.run(executor.units())
-    result = build(
-        prog.name,
-        timing,
-        executor.stats,
-        predictor.accuracy if predictor is not None else 1.0,
-        prog.code_bytes,
-    )
-    if tel.enabled:
-        _publish(tel, result, engine, predictor)
-    return result

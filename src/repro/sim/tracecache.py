@@ -17,9 +17,10 @@ Otherwise the core fetch unit delivers one basic block per cycle and the
 fill unit learns the trace.
 
 Implemented as a stream transformer: it merges consecutive
-:class:`~repro.exec.trace.FetchUnit` records into one unit on a hit, so
-the ordinary :class:`~repro.sim.engine.TimingEngine` consumes the result
-unchanged.
+:class:`~repro.exec.trace.FetchUnit` records into one unit on a hit.
+The merged stream is packed with
+:meth:`~repro.sim.packed.PackedTrace.capture` and replayed by the
+ordinary :meth:`~repro.sim.engine.TimingEngine.run_packed`, unchanged.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.exec.trace import FetchUnit
+from repro.obs.telemetry import get_telemetry
+from repro.sim.config import MachineConfig
+from repro.sim.engine import TimingEngine
+from repro.sim.packed import PackedTrace
+from repro.sim.run import _conventional_executor, _conventional_result
 
 
 @dataclass(frozen=True)
@@ -166,38 +172,19 @@ def simulate_conventional_with_trace_cache(
     the hit/fill statistics. When a telemetry session is active its
     ``tracecache.*`` counters are published under the benchmark label.
     """
-    from repro.exec.conventional import ConventionalExecutor
-    from repro.obs.telemetry import get_telemetry
-    from repro.sim.config import MachineConfig
-    from repro.sim.engine import TimingEngine
-    from repro.sim.predictors import GsharePredictor
-    from repro.sim.run import SimResult
-
     machine_config = machine_config or MachineConfig()
-    predictor = None
-    if not machine_config.perfect_bp:
-        predictor = GsharePredictor(
-            machine_config.bp_history_bits, machine_config.bp_table_bits
-        )
-    executor = ConventionalExecutor(prog, predictor=predictor, trace=True)
+    executor, predictor = _conventional_executor(prog, machine_config)
     fetch = TraceCacheFetch(trace_config)
-    engine = TimingEngine(machine_config, atomic_window=False)
-    timing = engine.run(fetch.transform(executor.units()))
-    stats = executor.stats
-    result = SimResult(
-        name=prog.name,
-        isa="conventional+tc",
-        cycles=timing.cycles,
-        committed_ops=stats.dyn_ops,
-        committed_units=stats.units,
-        avg_block_size=stats.avg_unit_size,
-        mispredicts=stats.mispredicts,
-        branch_events=stats.branches,
-        bp_accuracy=predictor.accuracy if predictor is not None else 1.0,
-        timing=timing,
-        outputs=stats.outputs,
-        static_code_bytes=prog.code_bytes,
+    trace = PackedTrace.capture(fetch.transform(executor.units()))
+    timing = TimingEngine(machine_config).run_packed(trace)
+    result = _conventional_result(
+        prog.name,
+        timing,
+        executor.stats,
+        predictor.accuracy if predictor is not None else 1.0,
+        prog.code_bytes,
     )
+    result.isa = "conventional+tc"
     tel = telemetry if telemetry is not None else get_telemetry()
     if tel.enabled:
         fetch.publish(tel.metrics, benchmark=prog.name)

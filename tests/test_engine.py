@@ -2,7 +2,9 @@
 
 Building synthetic streams lets every timing rule be checked in
 isolation: fetch bandwidth, dataflow, FU contention, windows, redirects,
-caches, and atomic retirement.
+caches, and atomic retirement. Each stream is packed with
+:meth:`PackedTrace.capture` and replayed by the scalar reference,
+:meth:`TimingEngine.run_packed`.
 """
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro.exec.trace import DynOp, FetchUnit
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.engine import TimingEngine
+from repro.sim.packed import PackedTrace
 
 
 def op(uid, lat=1, deps=(), mem_addr=-1, is_load=False, is_store=False):
@@ -41,7 +44,7 @@ def run(units, config=None, atomic=False):
         for u in units:
             u.atomic = True
     engine = TimingEngine(config, atomic_window=atomic)
-    return engine.run(units)
+    return engine.run_packed(PackedTrace.capture(units))
 
 
 def test_fetch_bound_independent_stream():

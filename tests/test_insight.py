@@ -3,10 +3,9 @@
 The contract under test, in order of importance:
 
 1. **Cycle accounting tiles exactly** — ``sum(buckets) == cycles`` for
-   every EXPERIMENT_RUNS spec, both ISAs, both sim paths.
-2. **Path-independence** — the streaming pipeline and the packed-trace
-   replay produce *bit-identical* ``InsightReport``\\ s (PR 4's identity
-   extended to the analytics layer).
+   every EXPERIMENT_RUNS spec, both ISAs, both replay kernels.
+2. **Path-independence** — the scalar replayer and the vector kernel
+   produce *bit-identical* ``InsightReport``\\ s.
 3. **Worker-merge determinism** — ``--jobs 2`` collects the same
    reports and the same merged ``insight.*`` metric series as a serial
    run.
@@ -37,14 +36,16 @@ from repro.insight import (
 from repro.obs import Telemetry
 from repro.obs.schema import insight_document_errors
 from repro.sim.config import MachineConfig
-from repro.sim.run import (
-    capture_run,
-    predictor_key,
-    replay_captured,
-    simulate_streaming,
-)
+from repro.sim.run import capture_run, predictor_key, replay_captured
 
 from tests.test_packed_trace import BENCHES, SCALE, _matrix_specs, _pair
+
+
+def _replay(prog, isa, config, **kwargs):
+    """Capture *prog* and replay it on the scalar reference kernel."""
+    return replay_captured(
+        capture_run(prog, isa, config), config, kernel="python", **kwargs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +56,9 @@ from tests.test_packed_trace import BENCHES, SCALE, _matrix_specs, _pair
 class TestCycleAccounting:
     def test_accounting_balances_and_paths_agree_for_every_spec(self):
         """The acceptance criterion: for every spec any experiment
-        declares, sum(buckets) == cycles on both sim paths and the two
-        paths' reports are dataclasses-asdict identical."""
+        declares, sum(buckets) == cycles on both replay kernels and the
+        two kernels' reports are dataclasses-asdict identical (``auto``
+        is the vector kernel when numpy is installed)."""
         captures = {}
         for spec in _matrix_specs():
             prog = getattr(_pair(spec.benchmark), spec.isa)
@@ -64,23 +66,26 @@ class TestCycleAccounting:
             if memo not in captures:
                 captures[memo] = capture_run(prog, spec.isa, spec.config)
 
-            packed_ins = InsightCollector()
+            vector_ins = InsightCollector()
             replayed = replay_captured(
-                captures[memo], spec.config, insight=packed_ins
+                captures[memo], spec.config, insight=vector_ins
             )
-            packed = packed_ins.report(spec.benchmark, spec.isa, spec.config)
-
-            stream_ins = InsightCollector()
-            simulate_streaming(
-                prog, spec.isa, spec.config, insight=stream_ins
-            )
-            streamed = stream_ins.report(
+            vectored = vector_ins.report(
                 spec.benchmark, spec.isa, spec.config
             )
 
-            assert packed.accounted_cycles == packed.cycles == replayed.cycles, spec
-            assert dataclasses.asdict(packed) == dataclasses.asdict(
-                streamed
+            scalar_ins = InsightCollector()
+            replay_captured(
+                captures[memo], spec.config, insight=scalar_ins,
+                kernel="python",
+            )
+            scalar = scalar_ins.report(spec.benchmark, spec.isa, spec.config)
+
+            assert scalar.accounted_cycles == scalar.cycles, spec
+            assert vectored.accounted_cycles == vectored.cycles, spec
+            assert vectored.cycles == replayed.cycles, spec
+            assert dataclasses.asdict(vectored) == dataclasses.asdict(
+                scalar
             ), spec
 
     def test_report_reconciles_with_timing_stats(self):
@@ -90,9 +95,7 @@ class TestCycleAccounting:
             prog = getattr(_pair("compress"), isa)
             config = MachineConfig()
             collector = InsightCollector()
-            result = simulate_streaming(
-                prog, isa, config, insight=collector
-            )
+            result = _replay(prog, isa, config, insight=collector)
             report = collector.report("compress", isa, config)
             t = result.timing
             assert (
@@ -113,9 +116,7 @@ class TestCycleAccounting:
     def test_histogram_mass_identities(self):
         config = MachineConfig()
         collector = InsightCollector()
-        simulate_streaming(
-            _pair("compress").block, "block", config, insight=collector
-        )
+        _replay(_pair("compress").block, "block", config, insight=collector)
         report = collector.report("compress", "block", config)
         assert sum(report.fetch_hist.values()) == report.busy_fetch
         assert (
@@ -133,7 +134,7 @@ class TestCycleAccounting:
         enlarged-block utilization story only bites on the block ISA."""
         config = MachineConfig()
         collector = InsightCollector()
-        simulate_streaming(
+        _replay(
             _pair("compress").conventional,
             "conventional",
             config,
@@ -236,9 +237,7 @@ class TestEngineIntegration:
 def _one_report(isa: str = "block") -> InsightReport:
     config = MachineConfig()
     collector = InsightCollector()
-    simulate_streaming(
-        getattr(_pair("compress"), isa), isa, config, insight=collector
-    )
+    _replay(getattr(_pair("compress"), isa), isa, config, insight=collector)
     return collector.report("compress", isa, config)
 
 
@@ -334,7 +333,7 @@ class TestRendering:
 
     def test_timeline_folds_trace_events(self):
         tel = Telemetry(trace_capacity=8192)
-        simulate_streaming(
+        _replay(
             _pair("compress").block, "block", MachineConfig(), telemetry=tel
         )
         rows = build_timeline(tel.trace.events())
@@ -432,7 +431,8 @@ class TestCli:
                     "isa": "block",
                     "capture_s": 1.0,
                     "replay_s": 1.0,
-                    "streaming_s": 1.0,
+                    "vector_s": 1.0,
+                    "sweep_s": 1.0,
                 }
             ]
         }
@@ -440,7 +440,7 @@ class TestCli:
         _, regressions = compare_documents(fast, base)
         assert regressions == []
         # Each phase gates on its own, capture included.
-        for phase in ("replay_s", "streaming_s", "capture_s"):
+        for phase in ("replay_s", "vector_s", "sweep_s", "capture_s"):
             slow = json.loads(json.dumps(base))
             slow["benchmarks"][0][phase] = 1.5
             _, regressions = compare_documents(slow, base)

@@ -1,6 +1,7 @@
 """``bsisa perf``: the BENCH_sim.json artifact is schema-valid, its
-replay timings come with a bit-identity guarantee, and the tracecache
-metric series reach the registry."""
+vector and batched-sweep timings come with a bit-identity guarantee
+against the scalar replay, and the tracecache metric series reach the
+registry."""
 
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ def test_document_is_schema_valid_and_stats_match(tmp_path):
 def test_bench_schema_rejects_malformed():
     doc = benchmark_suite(["compress"], SCALE)
     doc["benchmarks"][0]["capture_s"] = -1
-    del doc["benchmarks"][1]["stats_match"]
-    doc["totals"].pop("speedup_warm")
+    doc["benchmarks"][1]["sweep_match"] = "yes"
+    doc["totals"].pop("replay_s")
     errors = bench_document_errors(doc)
     assert len(errors) == 3
     assert bench_document_errors([]) == ["document must be a JSON object"]
@@ -50,8 +51,39 @@ def test_perf_spans_recorded_with_enabled_telemetry():
     tel = Telemetry()
     benchmark_suite(["compress"], SCALE, telemetry=tel)
     names = [s.name for s in tel.spans.records]
-    for phase in ("perf.capture", "perf.replay", "perf.streaming"):
+    for phase in (
+        "perf.capture", "perf.replay", "perf.sweep_per_config", "perf.sweep"
+    ):
         assert names.count(phase) == 2  # one per ISA
+
+
+def test_cli_perf_compare_rejects_v1_baseline(tmp_path, capsys):
+    """A baseline of the previous schema is a usage error naming both
+    schema ids, before any benchmark runs."""
+    baseline = tmp_path / "BENCH_v1.json"
+    baseline.write_text(
+        json.dumps(
+            {
+                "schema": "repro.bench/v1",
+                "meta": {"command": "perf"},
+                "benchmarks": [
+                    {
+                        "benchmark": "compress",
+                        "isa": "block",
+                        "capture_s": 1.0,
+                        "replay_s": 1.0,
+                        "streaming_s": 1.0,
+                        "stats_match": True,
+                    }
+                ],
+                "totals": {"stats_match": True, "speedup_warm": 1.0},
+            }
+        )
+    )
+    rc = main(["perf", "--benchmarks", "compress", "--compare", str(baseline)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "repro.bench/v1" in err and BENCH_SCHEMA_ID in err
 
 
 def test_cli_perf_writes_artifact(tmp_path, capsys):

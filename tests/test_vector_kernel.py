@@ -5,7 +5,7 @@ wavefront bug must be caught and shrink small).
 
 The kernel's contract is *exact* equality — every SimResult field,
 every InsightReport counter, every published metric series — against
-both the scalar replayer and the streaming engine. There is no float
+the scalar replayer, ``TimingEngine.run_packed``. There is no float
 tolerance anywhere: the timing model is all-integer and the kernel's
 float use is confined to pre-proven bookkeeping (docs/performance.md).
 """
@@ -35,7 +35,6 @@ from repro.sim.run import (
     prepare_sweep,
     replay_captured,
     replay_sweep,
-    simulate_streaming,
 )
 from repro.workloads import SUITE
 
@@ -70,16 +69,27 @@ needs_numpy = pytest.mark.skipif(
 
 
 # ---------------------------------------------------------------------------
-# Three-way differential: streaming vs run_packed vs vector kernel
+# Three-way differential: run_packed vs vector kernel, warm and cold
 # ---------------------------------------------------------------------------
+
+
+def _cold(captured):
+    """*captured* with a freshly deserialized trace: no cached line
+    spans or kernel prep, as a pool worker or the artifact cache sees
+    it."""
+    return dataclasses.replace(
+        captured, trace=PackedTrace.from_bytes(captured.trace.to_bytes())
+    )
 
 
 @needs_numpy
 class TestThreeWayDifferential:
     def test_every_experiment_spec_pins_all_three_paths(self):
-        """For every EXPERIMENT_RUNS spec: streaming, scalar replay and
-        vectorized replay produce asdict-equal SimResults, and the
-        InsightReport is identical on all three paths."""
+        """For every EXPERIMENT_RUNS spec: scalar replay, vectorized
+        replay of the shared capture (its prep cache warmed by earlier
+        specs) and vectorized replay of a cold copy produce asdict-equal
+        SimResults, and the InsightReport is identical on all three
+        paths."""
         captures = {}
         for spec in _matrix_specs():
             prog = getattr(_pair(spec.benchmark), spec.isa)
@@ -88,10 +98,6 @@ class TestThreeWayDifferential:
                 captures[memo] = capture_run(prog, spec.isa, spec.config)
             captured = captures[memo]
 
-            s_ins = InsightCollector()
-            streamed = simulate_streaming(
-                prog, spec.isa, spec.config, insight=s_ins
-            )
             p_ins = InsightCollector()
             scalar = replay_captured(
                 captured, spec.config, insight=p_ins, kernel="python"
@@ -100,15 +106,19 @@ class TestThreeWayDifferential:
             vectored = replay_captured(
                 captured, spec.config, insight=v_ins, kernel="numpy"
             )
+            c_ins = InsightCollector()
+            cold = replay_captured(
+                _cold(captured), spec.config, insight=c_ins, kernel="numpy"
+            )
 
-            want = dataclasses.asdict(streamed)
-            assert dataclasses.asdict(scalar) == want, spec
+            want = dataclasses.asdict(scalar)
             assert dataclasses.asdict(vectored) == want, spec
-            report = s_ins.report(spec.benchmark, spec.isa, spec.config)
-            assert p_ins.report(
+            assert dataclasses.asdict(cold) == want, spec
+            report = p_ins.report(spec.benchmark, spec.isa, spec.config)
+            assert v_ins.report(
                 spec.benchmark, spec.isa, spec.config
             ) == report, spec
-            assert v_ins.report(
+            assert c_ins.report(
                 spec.benchmark, spec.isa, spec.config
             ) == report, spec
 
@@ -272,8 +282,7 @@ class TestKernelSelection:
                 assert e["vector_s"] >= 0
                 assert e["vector_match"] is True
                 assert e["sweep_match"] is True
-            for key in ("vector_s", "speedup_vector", "replay_vs_vector",
-                        "speedup_sweep"):
+            for key in ("vector_s", "replay_vs_vector", "speedup_sweep"):
                 assert key in doc["totals"]
             assert doc["totals"]["stats_match"] is True
 
@@ -462,11 +471,11 @@ class TestStackDistances:
 
 @needs_numpy
 class TestSweepBatchedReplay:
-    def test_every_sweep_group_matches_per_config_and_streaming(self):
+    def test_sweep_groups_match_per_config_and_scalar(self):
         """Three-way over every EXPERIMENT_RUNS trace group (the fig6/
         fig7 icache sweeps included): batched replay_sweep vs cold
-        one-at-a-time replay vs streaming — asdict-equal SimResults and
-        identical InsightReports, no tolerance."""
+        one-at-a-time replay vs the scalar replayer — asdict-equal
+        SimResults and identical InsightReports, no tolerance."""
         groups: dict = {}
         for spec in _matrix_specs():
             memo = (spec.benchmark, spec.isa, predictor_key(spec.config))
@@ -480,19 +489,16 @@ class TestSweepBatchedReplay:
                 captured, configs, insights=sweep_ins, kernel="numpy"
             )
             for spec, batched, b_ins in zip(specs, swept, sweep_ins):
-                cold = dataclasses.replace(
-                    captured,
-                    trace=PackedTrace.from_bytes(captured.trace.to_bytes()),
-                )
                 p_ins = InsightCollector()
                 single = replay_captured(
-                    cold, spec.config, insight=p_ins, kernel="numpy"
+                    _cold(captured), spec.config, insight=p_ins,
+                    kernel="numpy",
                 )
                 s_ins = InsightCollector()
-                streamed = simulate_streaming(
-                    prog, isa, spec.config, insight=s_ins
+                scalar = replay_captured(
+                    captured, spec.config, insight=s_ins, kernel="python"
                 )
-                want = dataclasses.asdict(streamed)
+                want = dataclasses.asdict(scalar)
                 assert dataclasses.asdict(single) == want, spec
                 assert dataclasses.asdict(batched) == want, spec
                 report = s_ins.report(bench, isa, spec.config)
