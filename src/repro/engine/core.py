@@ -11,7 +11,10 @@ session:
   fetch-unit stream (:class:`~repro.sim.run.CapturedRun`) is memoized
   by :func:`~repro.sim.run.predictor_key` and disk-cached by
   :func:`~repro.engine.spec.trace_key`, then *replayed* for every
-  machine config that shares it (docs/performance.md);
+  machine config that shares it (docs/performance.md). A conventional
+  program executes only under real prediction: its perfect-prediction
+  trace is derived from the real one
+  (:func:`~repro.sim.run.derive_perfect_bp`);
 * **runs** — simulation results are memoized by full-fidelity
   :class:`~repro.engine.spec.RunSpec` (the entire machine config
   participates in the key) and disk-cached by content address;
@@ -33,6 +36,8 @@ when parallel).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.toolchain import CompiledPair, Toolchain
 from repro.engine.cache import ArtifactCache
 from repro.engine.executor import execute_parallel_groups
@@ -51,6 +56,7 @@ from repro.sim.run import (
     CapturedRun,
     SimResult,
     capture_run,
+    derive_perfect_bp,
     predictor_key,
     prepare_sweep,
     replay_captured,
@@ -166,13 +172,23 @@ class ExperimentEngine:
 
         The memo key is *(benchmark, isa, predictor_key(config))* — one
         functional execution serves every machine config of an icache /
-        latency / window sweep.
+        latency / window sweep. A conventional perfect-prediction trace
+        is never captured or cached on its own: it is derived
+        (:func:`~repro.sim.run.derive_perfect_bp`) from the
+        real-prediction trace of the same predictor geometry, which
+        comes through these same tiers and is counted by the one that
+        served it.
         """
         memo = (spec.benchmark, spec.isa, predictor_key(spec.config))
         tel = self._tel()
         if memo in self._traces:
             tel.count("plan.trace_reuse")
             return self._traces[memo]
+        if spec.isa == "conventional" and spec.config.perfect_bp:
+            real = replace(spec, config=spec.config.with_perfect_bp(False))
+            captured = derive_perfect_bp(self.captured_run(real))
+            self._traces[memo] = captured
+            return captured
         tkey = self._trace_key(spec)
         if tkey is not None:
             captured = self.cache.load(tkey)

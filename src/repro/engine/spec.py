@@ -180,7 +180,9 @@ def trace_key(compile_digest: str, isa: str, config: MachineConfig) -> str:
     stream depends only on the program and the predictor configuration
     (:func:`repro.sim.run.predictor_key`), so every machine config of an
     icache/latency/window sweep shares one trace artifact. Perfect
-    prediction collapses the predictor geometry entirely.
+    prediction collapses the predictor geometry entirely. The engine
+    stores no conventional perfect-prediction trace: it derives that
+    one from the real-prediction trace.
     """
     if config.perfect_bp:
         predictor: dict = {"perfect_bp": True}

@@ -62,6 +62,15 @@ class MachineConfig:
     bp_history_bits: int = 12
     bp_table_bits: int = 14
 
+    def __post_init__(self):
+        # Checked even under perfect prediction: the perfect conventional
+        # stream is derived from the real one captured at this geometry.
+        if not 0 <= self.bp_history_bits <= self.bp_table_bits:
+            raise ConfigError(
+                f"bp_history_bits must be in [0, bp_table_bits="
+                f"{self.bp_table_bits}], got {self.bp_history_bits}"
+            )
+
     def with_icache_kb(self, kb: int | None) -> "MachineConfig":
         """This config with a different icache size (None = perfect)."""
         if kb is None:

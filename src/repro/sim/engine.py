@@ -127,6 +127,10 @@ class TimingEngine:
             Cache(config.dcache) if config.dcache is not None else PerfectCache()
         )
         self.stats = TimingStats()
+        #: ``(path, reason)`` naming the replay pass that filled
+        #: :attr:`stats` (repro.sim.vector.KERNEL_PATHS); set by
+        #: repro.sim.run.replay_captured and the vector kernel
+        self.kernel_path: tuple[str, str | None] | None = None
 
     def run_packed(self, trace: PackedTrace) -> TimingStats:
         """Replay a :class:`~repro.sim.packed.PackedTrace`.

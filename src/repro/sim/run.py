@@ -21,7 +21,8 @@ Fig. 6/7 icache sweeps — capture once and replay per config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 
 from repro.errors import SimulationError
 from repro.exec.block import BlockExecutor, BlockStats
@@ -92,7 +93,12 @@ def predictor_key(config: MachineConfig) -> tuple:
 
     Two configs with equal keys produce bit-identical fetch-unit
     streams, so one captured trace serves both. Perfect prediction
-    ignores the table geometry entirely.
+    ignores the table geometry entirely. On the conventional ISA the
+    perfect stream is also a pure function of any real one
+    (:func:`derive_perfect_bp`), so the engine captures it under the
+    real key of the same geometry; on the BS-ISA the predictor picks
+    the fetched variants, and the two keys name really different
+    streams.
     """
     if config.perfect_bp:
         return ("perfect",)
@@ -183,6 +189,11 @@ def _publish(
         )
     tel.metrics.observe(
         "sim.unit_size", result.avg_block_size, isa=result.isa
+    )
+    path, reason = engine.kernel_path
+    reason_label = {"reason": reason} if reason is not None else {}
+    tel.metrics.inc(
+        "sim.kernel_path", isa=result.isa, path=path, **reason_label
     )
 
 
@@ -297,6 +308,55 @@ def capture_block_structured(
         predictor=PredictorSnapshot.of(predictor),
         bp_accuracy=predictor.accuracy if predictor is not None else 1.0,
         static_code_bytes=prog.code_bytes,
+    )
+
+
+def derive_perfect_bp(captured: CapturedRun) -> CapturedRun:
+    """The perfect-prediction run of a conventional program, derived
+    from a real-prediction capture of it without executing again.
+
+    The conventional predictor only decides *when* fetch redirects,
+    never *what* is fetched: control follows the actual branch
+    outcomes, and a fetch unit's extent depends only on its start
+    address. The perfect stream is therefore the real one with its
+    mispredict marks cleared, equal field for field to a
+    ``predictor=None`` capture. The new trace gets its own
+    ``unit_flags`` and ``unit_resolve`` columns and shares every other
+    column with *captured* read-only. On the BS-ISA the predictor
+    picks which enlarged variant is fetched, so its two streams really
+    differ; a block capture raises :class:`SimulationError`.
+    """
+    if captured.isa != "conventional":
+        raise SimulationError(
+            "only a conventional capture derives its perfect-prediction "
+            f"run; got {captured.isa!r}"
+        )
+    real = captured.trace
+    n = real.num_units
+    trace = PackedTrace(
+        unit_addr=real.unit_addr,
+        unit_size=real.unit_size,
+        unit_resolve=array("q", [-1]) * n,
+        unit_flags=array("B", bytes(n)),
+        unit_op_start=real.unit_op_start,
+        op_uid=real.op_uid,
+        op_lat=real.op_lat,
+        op_mem=real.op_mem,
+        op_flags=real.op_flags,
+        op_dep_start=real.op_dep_start,
+        deps=real.deps,
+    )
+    stats = replace(
+        captured.stats, mispredicts=0, outputs=list(captured.stats.outputs)
+    )
+    return CapturedRun(
+        name=captured.name,
+        isa="conventional",
+        trace=trace,
+        stats=stats,
+        predictor=None,
+        bp_accuracy=1.0,
+        static_code_bytes=captured.static_code_bytes,
     )
 
 
@@ -428,6 +488,8 @@ def replay_captured(
         timing = None
         if kern != "python":
             timing = vector.replay_packed_vector(engine, captured.trace)
+        else:
+            engine.kernel_path = ("scalar", "kernel_python")
         if timing is None:
             timing = engine.run_packed(captured.trace)
     build = _block_result if atomic else _conventional_result

@@ -79,6 +79,22 @@ KERNEL_RUNS = 0
 #: caller falls back to ``TimingEngine.run_packed``.
 FALLBACKS = 0
 
+#: What ``engine.kernel_path[0]`` names after a replay: a spine result
+#: reused from an identical earlier replay of the trace (``memo``), the
+#: conventional no-gating pass (``fast``) or windowed pass without or
+#: with exact FU modeling (``window``/``window_fu``), the atomic-window
+#: pass likewise (``block``/``block_fu``), or the scalar replayer.
+KERNEL_PATHS = (
+    "memo", "fast", "window", "window_fu", "block", "block_fu", "scalar",
+)
+#: Why a replay ran ``scalar`` (``engine.kernel_path[1]``): the caller
+#: chose the python kernel, or one per site where the vector kernel
+#: declines.
+FALLBACK_REASONS = (
+    "kernel_python", "no_numpy", "bad_resolve", "non_atomic_unit",
+    "unit_shape",
+)
+
 #: Sentinel low enough that ``_NEG - row + row`` can never beat a real
 #: retire candidate (completion times are non-negative).
 _NEG = -(1 << 60)
@@ -629,6 +645,14 @@ def _lat_prep(trace, base, dc, l2):
 # ---------------------------------------------------------------------------
 
 
+def _decline(engine, reason):
+    """Count a replay the kernel leaves to the scalar loop, and why."""
+    global FALLBACKS
+    FALLBACKS += 1
+    engine.kernel_path = ("scalar", reason)
+    return None
+
+
 def replay_packed_vector(engine, trace: PackedTrace):
     """Replay *trace* on *engine* at column speed.
 
@@ -638,12 +662,13 @@ def replay_packed_vector(engine, trace: PackedTrace):
     and returns the stats object. Returns ``None`` when the kernel
     cannot guarantee bit-exactness for this trace/config shape — the
     caller must then run ``engine.run_packed`` on the (untouched)
-    engine.
+    engine. Either way ``engine.kernel_path`` records the pass that ran
+    (:data:`KERNEL_PATHS`) or why the kernel declined
+    (:data:`FALLBACK_REASONS`).
     """
-    global KERNEL_RUNS, FALLBACKS
+    global KERNEL_RUNS
     if _np is None:
-        FALLBACKS += 1
-        return None
+        return _decline(engine, "no_numpy")
 
     config = engine.config
     atomic_window = engine.atomic_window
@@ -657,6 +682,7 @@ def replay_packed_vector(engine, trace: PackedTrace):
         stats.cycles = 1
         if ins is not None:
             ins.finish(1, 0)
+        engine.kernel_path = ("fast", None)  # nothing to gate
         KERNEL_RUNS += 1
         return stats
 
@@ -670,20 +696,18 @@ def replay_packed_vector(engine, trace: PackedTrace):
     # Shapes the kernel does not model: fall back (exactness first).
     flagged = squashed | mispredict
     if bool(_np.any(flagged & ((resolve < 0) | (resolve >= nops_v)))):
-        FALLBACKS += 1
-        return None  # the scalar path raises SimulationError
+        # the scalar path raises SimulationError
+        return _decline(engine, "bad_resolve")
     if atomic_window:
         if bool(_np.any(~atomic & ~squashed)):
-            FALLBACKS += 1
-            return None
+            return _decline(engine, "non_atomic_unit")
     else:
         if (
             bool(_np.any(atomic | squashed))
             or bool(_np.any(nops_v == 0))
             or int(nops_v.max()) > config.window_ops
         ):
-            FALLBACKS += 1
-            return None
+            return _decline(engine, "unit_shape")
 
     line_bytes = (
         config.icache.line_bytes if config.icache is not None else 64
@@ -712,11 +736,12 @@ def replay_packed_vector(engine, trace: PackedTrace):
     run_key = ("vrun", atomic_window, need_aux) + sig
     run = base.get(run_key)
     if run is None:
-        if atomic_window:
-            run = _block_replay(engine, base, fetch, lat, need_aux, sig)
-        else:
-            run = _conv_replay(engine, base, fetch, lat, need_aux, sig)
+        spine = _block_replay if atomic_window else _conv_replay
+        run, path = spine(engine, base, fetch, lat, need_aux, sig)
         base[run_key] = run
+    else:
+        path = "memo"
+    engine.kernel_path = (path, None)
     (completes, unit_retire_l, wstall, rstall, next_fetch, max_cycle,
      gap_l, wd_l) = run
 
@@ -768,11 +793,14 @@ def replay_packed_vector(engine, trace: PackedTrace):
 
 def _conv_replay(engine, base, fetch, lat, need_aux, sig):
     """Dispatch to the cheapest conventional pass that is provably
-    exact for this (trace, config) pair.
+    exact for this (trace, config) pair; returns ``(run, path)`` with
+    *path* naming the pass (``fast``, ``window`` or ``window_fu``).
 
-    Cold: try the optimistic no-gating pass, prove it with the
-    vectorized window/FU validations; when a window binds, drop to the
-    serial windowed spine (unit-window-only when the trace geometry
+    Batched (after :func:`prepare_sweep`): a cold spine runs the
+    always-exact windowed FU pass once, as :func:`_block_replay` does.
+    Otherwise, cold: try the optimistic no-gating pass, prove it with
+    the vectorized window/FU validations; when a window binds, drop to
+    the serial windowed spine (unit-window-only when the trace geometry
     proves the op window can never bind; full otherwise), with the FU
     dict only when the bincount proof fails. The surviving pass is
     memoized per config signature on the trace, so warm replays jump
@@ -786,9 +814,9 @@ def _conv_replay(engine, base, fetch, lat, need_aux, sig):
     nu = len(uos) - 1
     path_key = ("cpath",) + sig
     path = base.get(path_key)
-    # Trace-local warm-start hints keyed by the non-geometry config
-    # fields (sig minus the fetch/lat prep ids): once one sweep
-    # geometry learns "a window binds" / "the FUs bind" under this
+    # Trace-local warm-start hints for non-batched replays, keyed by the
+    # non-geometry config fields (sig minus the fetch/lat prep ids): once
+    # one geometry learns "a window binds" / "the FUs bind" under this
     # machine shape, sibling geometries skip the doomed optimistic
     # passes. A stale hint costs speed, never correctness — the
     # windowed / FU-exact spine is exact for every shape.
@@ -796,14 +824,22 @@ def _conv_replay(engine, base, fetch, lat, need_aux, sig):
     fu_hint = ("cfuhint",) + sig[:-2]
 
     if path is None:
-        if not base.get(win_hint):
-            completes, d0_l, rstall, next_fetch, gap_l = _conv_fast_pass(
-                base, fetch, lat, depth, penalty, need_aux
+        if base.get("batched"):
+            unit_only = _unit_window_only(base, config)
+            run = _conv_window_pass(base, fetch, lat, config, need_aux,
+                                    True, unit_only)
+            base[path_key] = (
+                "win", unit_only,
+                _fu_saturated(run[0], lat["lat_eff"], config.fu_count),
             )
-            c_np = _np.array(completes, dtype=_np.int64)
+            return _conv_window_result(run), "window_fu"
+        if not base.get(win_hint):
+            fast = _conv_fast_pass(base, fetch, lat, depth, penalty,
+                                   need_aux)
+            c_np = _np.array(fast[0], dtype=_np.int64)
             retire, _ = retire_scan(c_np + 1, width)
-            d0_np = _np.array(d0_l, dtype=_np.int64)
-            n = len(completes)
+            d0_np = _np.array(fast[1], dtype=_np.int64)
+            n = len(c_np)
             cap_ops = config.window_ops
             cap_units = config.window_blocks
             # Op-granular window: slot g frees at retire[g] and gates op
@@ -825,74 +861,76 @@ def _conv_replay(engine, base, fetch, lat, need_aux, sig):
                 )
             if ok and _fu_ok(c_np, lat["lat_eff"], config.fu_count):
                 base[path_key] = ("fast",)
-                retire_l = retire.tolist()
-                max_cycle = max(retire_l[-1], next_fetch - 1)
-                unit_retire_l = wd_l = None
-                if need_aux:
-                    uos_l = base["uos_l"]
-                    unit_retire_l = [
-                        retire_l[uos_l[u + 1] - 1] for u in range(nu)
-                    ]
-                    wd_l = [0] * nu
-                return (completes, unit_retire_l, 0, rstall, next_fetch,
-                        max_cycle, gap_l, wd_l)
+                return _conv_fast_result(base, fast, retire, need_aux), "fast"
             base[win_hint] = True
-        cap_ops = config.window_ops
-        cap_units = config.window_blocks
         # A window (or the FUs) binds: pick the serial windowed spine.
-        # When every window of window_blocks consecutive units (and the
-        # leading partial window) holds at most window_ops ops, an op's
-        # window slot has always been freed by the time the op-pop
-        # would read it — retire is monotone here and the unit gate
-        # already waited for a later retire — so the pass may skip
-        # op-slot bookkeeping entirely.
-        unit_only = base["uos_l"][min(cap_units, nu)] <= cap_ops and (
-            nu <= cap_units
-            or bool(_np.all(uos[cap_units:] - uos[:-cap_units] <= cap_ops))
-        )
-        if base.get(fu_hint):
+        unit_only = _unit_window_only(base, config)
+        use_fu = bool(base.get(fu_hint))
+        run = _conv_window_pass(base, fetch, lat, config, need_aux,
+                                use_fu, unit_only)
+        if not use_fu and not _fu_ok(
+            _np.array(run[0], dtype=_np.int64), lat["lat_eff"],
+            config.fu_count,
+        ):
+            base[fu_hint] = use_fu = True
             run = _conv_window_pass(base, fetch, lat, config, need_aux,
                                     True, unit_only)
-            base[path_key] = ("win", unit_only, True)
-        else:
-            run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                    False, unit_only)
-            if _fu_ok(
-                _np.array(run[0], dtype=_np.int64), lat["lat_eff"],
-                config.fu_count,
-            ):
-                base[path_key] = ("win", unit_only, False)
-            else:
-                base[fu_hint] = True
-                run = _conv_window_pass(base, fetch, lat, config,
-                                        need_aux, True, unit_only)
-                base[path_key] = ("win", unit_only, True)
+        base[path_key] = ("win", unit_only, use_fu)
     elif path[0] == "fast":
-        completes, d0_l, rstall, next_fetch, gap_l = _conv_fast_pass(
-            base, fetch, lat, depth, penalty, need_aux
-        )
+        fast = _conv_fast_pass(base, fetch, lat, depth, penalty, need_aux)
         retire, _ = retire_scan(
-            _np.array(completes, dtype=_np.int64) + 1, width
+            _np.array(fast[0], dtype=_np.int64) + 1, width
         )
-        retire_l = retire.tolist()
-        max_cycle = max(retire_l[-1], next_fetch - 1)
-        unit_retire_l = wd_l = None
-        if need_aux:
-            uos_l = base["uos_l"]
-            unit_retire_l = [retire_l[uos_l[u + 1] - 1] for u in range(nu)]
-            wd_l = [0] * nu
-        return (completes, unit_retire_l, 0, rstall, next_fetch,
-                max_cycle, gap_l, wd_l)
+        return _conv_fast_result(base, fast, retire, need_aux), "fast"
     else:
-        _, unit_only, need_fu = path
+        _, unit_only, use_fu = path
         run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                need_fu, unit_only)
+                                use_fu, unit_only)
+    return _conv_window_result(run), "window_fu" if use_fu else "window"
 
+
+def _unit_window_only(base, config):
+    """Whether the op window provably never binds before the unit
+    window does.
+
+    When every window of window_blocks consecutive units (and the
+    leading partial window) holds at most window_ops ops, an op's
+    window slot has always been freed by the time the op-pop would read
+    it — retire is monotone here and the unit gate already waited for a
+    later retire — so the windowed pass may skip op-slot bookkeeping
+    entirely.
+    """
+    uos = base["uos"]
+    nu = len(uos) - 1
+    cap_ops = config.window_ops
+    cap_units = config.window_blocks
+    return base["uos_l"][min(cap_units, nu)] <= cap_ops and (
+        nu <= cap_units
+        or bool(_np.all(uos[cap_units:] - uos[:-cap_units] <= cap_ops))
+    )
+
+
+def _conv_fast_result(base, fast, retire, need_aux):
+    """The spine result of a proven no-gating pass."""
+    completes, _, rstall, next_fetch, gap_l = fast
+    retire_l = retire.tolist()
+    max_cycle = max(retire_l[-1], next_fetch - 1)
+    unit_retire_l = wd_l = None
+    if need_aux:
+        uos_l = base["uos_l"]
+        nu = len(uos_l) - 1
+        unit_retire_l = [retire_l[uos_l[u + 1] - 1] for u in range(nu)]
+        wd_l = [0] * nu
+    return (completes, unit_retire_l, 0, rstall, next_fetch, max_cycle,
+            gap_l, wd_l)
+
+
+def _conv_window_result(run):
+    """The spine result of a windowed pass."""
     (completes, rc, wstall, rstall, next_fetch, gap_l, wd_l,
      unit_retire_l) = run
-    max_cycle = max(rc, next_fetch - 1)
     return (completes, unit_retire_l, wstall, rstall, next_fetch,
-            max_cycle, gap_l, wd_l)
+            max(rc, next_fetch - 1), gap_l, wd_l)
 
 
 def _fu_ok(completes, lat_eff, fu_count):
@@ -905,6 +943,19 @@ def _fu_ok(completes, lat_eff, fu_count):
         return True
     starts = completes - lat_eff
     return int(_np.bincount(starts).max()) <= fu_count
+
+
+def _fu_saturated(completes, lat_eff, fu_count):
+    """Whether an FU-exact schedule may differ from the optimistic one.
+
+    An op waits for a function unit only when its ready cycle is
+    already full, so a schedule in which no cycle reaches ``fu_count``
+    issues delayed nothing: the FU-free pass yields it too.
+    """
+    if len(completes) == 0:
+        return False
+    starts = _np.array(completes, dtype=_np.int64) - lat_eff
+    return int(_np.bincount(starts).max()) >= fu_count
 
 
 def _conv_fast_pass(base, fetch, lat, depth, penalty, need_aux):
@@ -1217,48 +1268,40 @@ def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
 def _block_replay(engine, base, fetch, lat, need_aux, sig):
     """Atomic-window replay: real (tiny) release heap per unit, O(1)
     closed-form block retirement, optimistic FU with exact re-run (the
-    surviving choice memoized per config signature)."""
+    surviving choice memoized per config signature). Returns ``(run,
+    path)`` with *path* ``block`` or ``block_fu``."""
     config = engine.config
     path_key = ("bpath",) + sig
-    path = base.get(path_key)
-    # Same trace-local FU warm-start as the conventional path: a
-    # sibling sweep geometry that needed exact FU modeling under this
-    # machine shape sends later cold spines straight to it.
-    fu_hint = ("bfuhint",) + sig[:-2]
-    if path is None:
-        if base.get(fu_hint):
-            run = _block_pass(base, fetch, lat, config, need_aux, True)
-            base[path_key] = True
-            return run
+    use_fu = base.get(path_key)
+    if use_fu is None:
         if base.get("batched"):
             # Batched sweeps skip the optimistic probe and run the
             # always-exact FU-modeled pass once: the spine result is
             # memoized per geometry content, so the probe could only
             # pay off on warm re-replays a batch never performs. The
             # saturation check still recovers the optimistic warm path
-            # when provably identical (an FU delay requires a
-            # saturated issue cycle).
+            # when provably identical.
             run = _block_pass(base, fetch, lat, config, need_aux, True)
-            starts = _np.array(run[0], dtype=_np.int64) - lat["lat_eff"]
-            need_fu = bool(len(starts)) and (
-                int(_np.bincount(starts).max()) >= config.fu_count
+            base[path_key] = _fu_saturated(
+                run[0], lat["lat_eff"], config.fu_count
             )
-            base[path_key] = need_fu
-            if need_fu:
-                base[fu_hint] = True
-            return run
-        run = _block_pass(base, fetch, lat, config, need_aux, False)
-        if _fu_ok(
+            return run, "block_fu"
+        # Same trace-local FU warm-start as the conventional path: a
+        # sibling geometry that needed exact FU modeling under this
+        # machine shape sends later cold spines straight to it.
+        fu_hint = ("bfuhint",) + sig[:-2]
+        use_fu = bool(base.get(fu_hint))
+        run = _block_pass(base, fetch, lat, config, need_aux, use_fu)
+        if not use_fu and not _fu_ok(
             _np.array(run[0], dtype=_np.int64), lat["lat_eff"],
             config.fu_count,
         ):
-            base[path_key] = False
-        else:
-            base[fu_hint] = True
+            base[fu_hint] = use_fu = True
             run = _block_pass(base, fetch, lat, config, need_aux, True)
-            base[path_key] = True
-        return run
-    return _block_pass(base, fetch, lat, config, need_aux, path)
+        base[path_key] = use_fu
+    else:
+        run = _block_pass(base, fetch, lat, config, need_aux, use_fu)
+    return run, "block_fu" if use_fu else "block"
 
 
 def _block_pass(base, fetch, lat, config, need_aux, use_fu):

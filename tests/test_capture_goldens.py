@@ -28,7 +28,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.toolchain import Toolchain
+from repro.engine import ExperimentEngine, RunSpec
 from repro.harness.experiments import EXPERIMENT_RUNS
+from repro.obs import Telemetry
 from repro.sim.run import capture_run, predictor_key
 from repro.workloads import SUITE
 
@@ -77,16 +79,19 @@ def captured_run(name: str, isa: str, config):
     return _CAPTURES[memo]
 
 
+def fingerprint(captured) -> dict[str, str]:
+    stats = json.dumps(dataclasses.asdict(captured.stats), sort_keys=True)
+    return {
+        "trace": _sha256(captured.trace.to_bytes()),
+        "stats": _sha256(stats.encode()),
+    }
+
+
 def measure_captures() -> dict[str, dict[str, str]]:
-    measured = {}
-    for key, (name, isa, config) in sorted(planned_captures().items()):
-        captured = captured_run(name, isa, config)
-        stats = json.dumps(dataclasses.asdict(captured.stats), sort_keys=True)
-        measured[key] = {
-            "trace": _sha256(captured.trace.to_bytes()),
-            "stats": _sha256(stats.encode()),
-        }
-    return measured
+    return {
+        key: fingerprint(captured_run(name, isa, config))
+        for key, (name, isa, config) in sorted(planned_captures().items())
+    }
 
 
 def test_plan_has_32_captures():
@@ -124,3 +129,27 @@ def test_suite_captures_match_golden(request):
         + "\n  ".join(stale)
         + "\nIf intentional, regenerate with --update-goldens and review."
     )
+
+
+def test_engine_derived_perfect_captures_match_golden():
+    """The engine executes each conventional program only under real
+    prediction and derives the perfect-prediction capture from it
+    (:func:`~repro.sim.run.derive_perfect_bp`); the derived captures
+    must hash to the goldens pinned from direct ``predictor=None``
+    executions."""
+    golden = json.loads(GOLDEN_PATH.read_text())["captures"]
+    perfect = {
+        key: spec
+        for key, spec in planned_captures().items()
+        if key.endswith("/conventional/perfect")
+    }
+    assert len(perfect) == len(SUITE) == 8
+    tel = Telemetry()
+    engine = ExperimentEngine(
+        scale=CAPTURE_SCALE, benchmarks=list(SUITE), telemetry=tel
+    )
+    for key, (name, isa, config) in sorted(perfect.items()):
+        derived = engine.captured_run(RunSpec(name, isa, config))
+        assert fingerprint(derived) == golden[key], key
+    # one real-prediction execution per benchmark, none under perfect
+    assert tel.metrics.get("plan.trace_captures") == 8

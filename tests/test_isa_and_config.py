@@ -112,6 +112,18 @@ def test_cache_config_validation():
         CacheConfig(64 * 1024 + 8, 4)
 
 
+@pytest.mark.parametrize("perfect", [False, True])
+def test_machine_config_rejects_impossible_predictor_geometry(perfect):
+    """The history register indexes into the table, so it can be no
+    wider than the table index; perfect prediction is no exception."""
+    with pytest.raises(ConfigError, match=r"\[0, bp_table_bits=14\], got 15"):
+        MachineConfig(bp_history_bits=15, perfect_bp=perfect)
+    with pytest.raises(ConfigError, match="got -1"):
+        MachineConfig(bp_history_bits=-1, perfect_bp=perfect)
+    for bits in (0, 14):  # the bounds themselves are valid
+        MachineConfig(bp_history_bits=bits, perfect_bp=perfect)
+
+
 def test_machine_config_paper_defaults():
     config = MachineConfig()
     assert config.issue_width == 16

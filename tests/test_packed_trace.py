@@ -13,7 +13,8 @@ import pytest
 
 from repro.check import generate_program
 from repro.core.toolchain import Toolchain
-from repro.engine import build_plan
+from repro.engine import ArtifactCache, ExperimentEngine, RunSpec, build_plan
+from repro.engine.spec import trace_key
 from repro.errors import SimulationError
 from repro.exec.block import BlockExecutor
 from repro.exec.conventional import ConventionalExecutor
@@ -23,7 +24,12 @@ from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
 from repro.sim.predictors import BlockPredictor, GsharePredictor
-from repro.sim.run import capture_run, predictor_key, replay_captured
+from repro.sim.run import (
+    capture_run,
+    derive_perfect_bp,
+    predictor_key,
+    replay_captured,
+)
 from repro.workloads import SUITE
 
 SCALE = 0.05
@@ -181,7 +187,8 @@ class TestBitIdentity:
     def test_replay_publishes_same_metrics_on_both_kernels(self):
         """The scalar replayer and the default kernel (the vector kernel
         when numpy is installed) publish the same sim./cache./bp.
-        series, with the capture's predictor snapshot included."""
+        series, with the capture's predictor snapshot included; only
+        sim.kernel_path, which names the pass that ran, differs."""
         prog = _pair("compress").conventional
         config = MachineConfig()
         cap = capture_run(prog, "conventional", config)
@@ -195,10 +202,17 @@ class TestBitIdentity:
                 e
                 for e in tel.metrics.snapshot()
                 if e["name"].startswith(("sim.", "cache.", "bp."))
+                and e["name"] != "sim.kernel_path"
             ]
 
         assert any(e["name"] == "bp.predictions" for e in entries(replay_tel))
         assert entries(replay_tel) == entries(scalar_tel)
+        # the one kernel-dependent series names the replay pass
+        assert scalar_tel.metrics.get(
+            "sim.kernel_path", isa="conventional", path="scalar",
+            reason="kernel_python",
+        ) == 1
+        assert len(replay_tel.metrics.series("sim.kernel_path")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +238,22 @@ class TestTraceReuse:
         assert tel.metrics.get("plan.trace_replays") == 8
         assert tel.metrics.get("plan.trace_reuse") == 6
 
-    def test_perfect_bp_shares_no_trace_with_real_bp(self):
+    def test_perfect_bp_executes_conventional_once_block_twice(self):
+        """fig3+fig4 replay real and perfect prediction on both ISAs.
+        The conventional perfect stream is derived from the real one;
+        the BS-ISA's predictor picks the fetched variants, so its two
+        streams are both executed."""
         tel = Telemetry()
         runner = SuiteRunner(
             scale=SCALE, benchmarks=["compress"], telemetry=tel
         )
         runner.execute(["fig3", "fig4"])  # real + perfect BP, 2 ISAs
-        assert tel.metrics.get("plan.trace_captures") == 4
+        assert tel.metrics.get("plan.trace_captures") == 3
+        captures = sorted(
+            s.labels["isa"] for s in tel.spans.records
+            if s.name == "sim.capture"
+        )
+        assert captures == ["block", "block", "conventional"]
 
     def test_predictor_key_ignores_non_predictor_fields(self):
         base = MachineConfig()
@@ -246,3 +269,48 @@ class TestTraceReuse:
         assert predictor_key(base) != predictor_key(
             dataclasses.replace(base, bp_history_bits=8)
         )
+
+
+# ---------------------------------------------------------------------------
+# Perfect prediction derived from real prediction (conventional ISA)
+# ---------------------------------------------------------------------------
+
+
+class TestPerfectDerivation:
+    REAL = MachineConfig()
+    PERFECT = MachineConfig().with_perfect_bp()
+
+    def test_derived_run_equals_direct_perfect_capture(self):
+        prog = _pair("compress").conventional
+        real = capture_run(prog, "conventional", self.REAL)
+        derived = derive_perfect_bp(real)
+        direct = capture_run(prog, "conventional", self.PERFECT)
+        assert real.stats.mispredicts > 0
+        assert derived == direct
+        assert derived.trace.to_bytes() == direct.trace.to_bytes()
+        assert derived.stats.outputs is not real.stats.outputs
+        # the real run is untouched, and only the flag columns are new
+        assert real == capture_run(prog, "conventional", self.REAL)
+        assert derived.trace.op_uid is real.trace.op_uid
+        assert derived.trace.unit_flags is not real.trace.unit_flags
+        assert derived.trace.unit_resolve is not real.trace.unit_resolve
+
+    def test_block_capture_has_no_derivation(self):
+        real = capture_run(_pair("compress").block, "block", self.REAL)
+        with pytest.raises(SimulationError, match="conventional"):
+            derive_perfect_bp(real)
+
+    def test_engine_caches_only_the_real_trace(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        engine = ExperimentEngine(
+            scale=SCALE, benchmarks=["compress"], cache=cache
+        )
+        perfect = engine.captured_run(
+            RunSpec("compress", "conventional", self.PERFECT)
+        )
+        ckey = engine._compile_key("compress")
+        stored = cache.load(trace_key(ckey, "conventional", self.REAL))
+        assert derive_perfect_bp(stored) == perfect
+        assert cache.load(
+            trace_key(ckey, "conventional", self.PERFECT)
+        ) is None

@@ -21,12 +21,14 @@ import pytest
 from repro.core.toolchain import Toolchain
 from repro.engine import build_plan
 from repro.errors import SimulationError
-from repro.harness import EXPERIMENT_RUNS
+from repro.exec.trace import DynOp, FetchUnit
+from repro.harness import EXPERIMENT_RUNS, SuiteRunner
 from repro.insight import InsightCollector
 from repro.obs import Telemetry
 from repro.sim import vector
 from repro.sim.cache import Cache
 from repro.sim.config import CacheConfig, MachineConfig
+from repro.sim.engine import TimingEngine
 from repro.sim.packed import PackedTrace
 from repro.sim.run import (
     VALID_KERNELS,
@@ -71,6 +73,15 @@ needs_numpy = pytest.mark.skipif(
 # ---------------------------------------------------------------------------
 # Three-way differential: run_packed vs vector kernel, warm and cold
 # ---------------------------------------------------------------------------
+
+
+def _kernel_paths(tel, isa):
+    """``{(path, reason): count}`` of the sim.kernel_path series."""
+    return {
+        (s.labels["path"], s.labels.get("reason")): s.value
+        for s in tel.metrics.series("sim.kernel_path")
+        if s.labels["isa"] == isa
+    }
 
 
 def _cold(captured):
@@ -137,22 +148,29 @@ class TestThreeWayDifferential:
                 assert dataclasses.asdict(got) == want, isa
 
     def test_vector_replay_publishes_identical_metrics(self):
-        """sim./cache./bp. series must not depend on the kernel."""
+        """sim./cache./bp. series must not depend on the kernel, except
+        sim.kernel_path, which names it."""
         config = MachineConfig()
         captured = capture_run(
             _pair("compress").conventional, "conventional", config
         )
+        paths = {}
 
         def series(kernel):
             tel = Telemetry()
             replay_captured(captured, config, telemetry=tel, kernel=kernel)
+            paths[kernel] = _kernel_paths(tel, "conventional")
             return [
                 e
                 for e in tel.metrics.snapshot()
                 if e["name"].startswith(("sim.", "cache.", "bp."))
+                and e["name"] != "sim.kernel_path"
             ]
 
         assert series("numpy") == series("python")
+        assert paths["python"] == {("scalar", "kernel_python"): 1}
+        assert len(paths["numpy"]) == 1
+        assert "scalar" not in {path for path, _ in paths["numpy"]}
 
     def test_kernel_actually_ran(self):
         """The differential above must exercise the kernel, not the
@@ -505,6 +523,38 @@ class TestSweepBatchedReplay:
                 assert p_ins.report(bench, isa, spec.config) == report, spec
                 assert b_ins.report(bench, isa, spec.config) == report, spec
 
+    @pytest.mark.parametrize("fu_count", [2, 16])
+    def test_batched_spines_stay_exact_when_fus_bind(self, fu_count):
+        """A batched cold spine runs the FU-modeled pass directly, and
+        its saturation check records the pass a later replay of the same
+        spine takes; a replay that misses the spine memo (here: one
+        feeding an insight collector) runs that pass. With two FUs the
+        units contend for them on every path."""
+        base = MachineConfig(fu_count=fu_count)
+        configs = [base.with_icache_kb(kb) for kb in (None, 16, 64)]
+        for isa in ("conventional", "block"):
+            captured = capture_run(getattr(_pair("compress"), isa), isa, base)
+            swept = replay_sweep(captured, configs, kernel="numpy")
+            tel = Telemetry()
+            warm = [
+                replay_captured(
+                    captured, config, telemetry=tel,
+                    insight=InsightCollector(), kernel="numpy",
+                )
+                for config in configs
+            ]
+            for config, batched, rerun in zip(configs, swept, warm):
+                want = dataclasses.asdict(
+                    replay_captured(captured, config, kernel="python")
+                )
+                assert dataclasses.asdict(batched) == want, (isa, config)
+                assert dataclasses.asdict(rerun) == want, (isa, config)
+            if fu_count == 2:
+                exact = "window_fu" if isa == "conventional" else "block_fu"
+                paths = set(_kernel_paths(tel, isa))
+                assert (exact, None) in paths
+                assert paths <= {(exact, None), ("memo", None)}
+
     def test_prepare_sweep_counts_batched_configs(self):
         config = MachineConfig()
         captured = capture_run(
@@ -524,6 +574,63 @@ class TestSweepBatchedReplay:
         )
         with pytest.raises(SimulationError, match="insight collectors"):
             replay_sweep(captured, [config], insights=[None, None])
+
+
+# ---------------------------------------------------------------------------
+# Which replay pass ran: sim.kernel_path
+# ---------------------------------------------------------------------------
+
+
+class TestKernelPath:
+    @needs_numpy
+    def test_batched_conventional_spines_run_one_exact_pass(self):
+        """Once prepare_sweep marks a trace batched, a cold conventional
+        spine runs the windowed FU pass once (no optimistic probe) and
+        every other replay reuses a memoized spine."""
+        tel = Telemetry()
+        runner = SuiteRunner(
+            scale=SCALE, benchmarks=["compress"], telemetry=tel
+        )
+        plan = runner.execute(["fig3", "fig4", "fig6", "fig7"])
+        conv = _kernel_paths(tel, "conventional")
+        assert set(conv) <= {("window_fu", None), ("memo", None)}
+        assert conv[("window_fu", None)] >= 2  # real and perfect traces
+        block = _kernel_paths(tel, "block")
+        assert {path for path, _ in block} <= set(vector.KERNEL_PATHS)
+        assert tel.metrics.get("plan.trace_replays") == plan.runs_deduped
+        assert sum(conv.values()) + sum(block.values()) == plan.runs_deduped
+
+    def test_python_kernel_reports_scalar(self):
+        tel = Telemetry()
+        runner = SuiteRunner(
+            scale=SCALE, benchmarks=["compress"], telemetry=tel,
+            kernel="python",
+        )
+        runner.execute(["fig3", "fig4"])
+        for isa in ("conventional", "block"):
+            assert _kernel_paths(tel, isa) == {("scalar", "kernel_python"): 2}
+
+    @needs_numpy
+    def test_each_decline_names_its_reason(self, monkeypatch):
+        trace = capture_run(
+            _pair("compress").conventional, "conventional", MachineConfig()
+        ).trace
+
+        def declined(trace, atomic=False, **fields):
+            engine = TimingEngine(MachineConfig(**fields), atomic_window=atomic)
+            assert vector.replay_packed_vector(engine, trace) is None
+            path, reason = engine.kernel_path
+            assert path == "scalar" and reason in vector.FALLBACK_REASONS
+            return reason
+
+        assert declined(trace, atomic=True) == "non_atomic_unit"
+        assert declined(trace, window_ops=8) == "unit_shape"
+        bad = PackedTrace.capture(
+            [FetchUnit(0, 4, [DynOp(1, (), uid=0)], mispredict=True)]
+        )
+        assert declined(bad) == "bad_resolve"
+        monkeypatch.setattr(vector, "_np", None)
+        assert declined(trace) == "no_numpy"
 
 
 # ---------------------------------------------------------------------------
