@@ -7,8 +7,10 @@ compiler, only block structuring differs" comparison):
    blocks over virtual registers;
 2. :mod:`repro.regalloc` assigns physical registers, inserts spill code,
    lays out the stack frame and adds prologue/epilogue;
-3. either :mod:`repro.backend.conventional` linearizes the blocks into a
-   conventional executable (``BR``/``JMP`` branches), or
+3. from those same allocated functions (steps 1-2 run once, in
+   :func:`~repro.backend.conventional.lower_and_allocate`),
+   :mod:`repro.backend.conventional` linearizes the blocks into a
+   conventional executable (``BR``/``JMP`` branches), and
    :mod:`repro.backend.blockstructured` runs the **block enlargement**
    pass (:mod:`repro.backend.enlarge`) and emits atomic blocks with
    ``TRAP``/``FAULT`` terminators.

@@ -1,7 +1,8 @@
 """Block-structured ISA code generation.
 
 From the same register-allocated machine functions as the conventional
-back end, this module:
+back end (:func:`~repro.backend.conventional.lower_and_allocate`), this
+module:
 
 1. builds *pre-blocks*: machine basic blocks split at ``CALL`` ops
    (condition 3 — call/return edges end atomic blocks) and at the
@@ -29,14 +30,18 @@ from repro.backend.enlarge import (
     Variant,
     enlarge_function,
 )
-from repro.backend.machine_ir import MachineFunction, lower_module
+from repro.backend.conventional import lower_and_allocate
+# lower_module and allocate_function run in lower_and_allocate; they stay
+# importable here because perfbench/layers.py traces both names in each
+# back end.
+from repro.backend.machine_ir import MachineFunction, lower_module  # noqa: F401
 from repro.errors import CompileError
 from repro.ir.structure import Module
 from repro.isa.opcodes import Opcode
 from repro.isa.operation import MachineOp
 from repro.isa.program import AtomicBlock, BlockProgram
 from repro.isa.registers import RA
-from repro.regalloc.linear_scan import allocate_function
+from repro.regalloc.linear_scan import allocate_function  # noqa: F401
 
 
 def build_preblocks(
@@ -185,17 +190,9 @@ def generate_block_structured(
     telemetry=None,
 ) -> BlockProgram:
     """Compile an (already optimized) IR module to a BS-ISA image."""
-    from repro.obs.telemetry import get_telemetry
-
-    config = config or EnlargeConfig()
-    tel = telemetry if telemetry is not None else get_telemetry()
-    with tel.span("backend.lower", isa="block"):
-        functions, data = lower_module(module)
-    with tel.span("backend.regalloc", isa="block"):
-        for mf in functions.values():
-            allocate_function(mf)
+    functions, data = lower_and_allocate(module, telemetry)
     return emit_block_structured(
-        functions, data, name or module.name, config, telemetry=tel
+        functions, data, name or module.name, config, telemetry
     )
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backend import EnlargeConfig, generate_block_structured, generate_conventional
+from repro.backend import EnlargeConfig, blockstructured, conventional
+from repro.backend.conventional import lower_and_allocate
 from repro.frontend import compile_to_ir
 from repro.ir.structure import Module
 from repro.ir.verify import verify_module
@@ -122,21 +123,26 @@ class Toolchain:
         return module
 
     def compile(self, source: str, name: str = "program") -> CompiledPair:
-        """Compile *source* for both ISAs."""
+        """Compile *source* for both ISAs.
+
+        Machine lowering and register allocation run once; both emitters
+        read the same allocated functions, and the block image gets its
+        own copy of the data segment.
+        """
         tel = self._tel()
         with tel.span("compile", module=name):
             module = self.compile_ir(source, name)
-            with tel.span("compile.backend", module=name, isa="conventional"):
-                conventional = generate_conventional(
-                    module, name, telemetry=tel
+            with tel.span("compile.backend", module=name):
+                functions, data = lower_and_allocate(module, tel)
+                conv = conventional.emit_conventional(
+                    functions, data, name, tel
                 )
-            with tel.span("compile.backend", module=name, isa="block"):
-                block = generate_block_structured(
-                    module, name, self.enlarge, telemetry=tel
+                block = blockstructured.emit_block_structured(
+                    functions, data.copy(), name, self.enlarge, tel
                 )
         if tel.enabled:
             tel.metrics.gauge(
-                "compile.code_bytes", conventional.code_bytes,
+                "compile.code_bytes", conv.code_bytes,
                 module=name, isa="conventional",
             )
             tel.metrics.gauge(
@@ -145,11 +151,10 @@ class Toolchain:
             )
             tel.metrics.gauge(
                 "compile.code_expansion",
-                block.code_bytes / conventional.code_bytes
-                if conventional.code_bytes else 0.0,
+                block.code_bytes / conv.code_bytes if conv.code_bytes else 0.0,
                 module=name,
             )
-        return CompiledPair(name, module, conventional, block)
+        return CompiledPair(name, module, conv, block)
 
     def compile_profile_guided(
         self, source: str, name: str = "program", min_bias: float = 0.75
@@ -166,12 +171,15 @@ class Toolchain:
 
         tel = self._tel()
         module = self.compile_ir(source, name)
-        conventional = generate_conventional(module, name, telemetry=tel)
+        functions, data = lower_and_allocate(module, tel)
+        conv = conventional.emit_conventional(functions, data, name, tel)
         with tel.span("compile.profile", module=name):
-            profile = collect_branch_profile(conventional)
+            profile = collect_branch_profile(conv)
         guided = replace(self.enlarge, profile=profile, min_bias=min_bias)
-        block = generate_block_structured(module, name, guided, telemetry=tel)
-        return CompiledPair(name, module, conventional, block)
+        block = blockstructured.emit_block_structured(
+            functions, data.copy(), name, guided, tel
+        )
+        return CompiledPair(name, module, conv, block)
 
     def compare(
         self, pair: CompiledPair, config: MachineConfig | None = None

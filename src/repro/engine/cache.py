@@ -53,8 +53,10 @@ class ArtifactCache:
             self.misses += 1
             return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            # A torn or stale-format artifact: drop it and recompute.
+                ImportError, IndexError, TypeError, ValueError):
+            # A torn or stale-format artifact (one pickled from a class
+            # whose shape has since changed fails with TypeError or
+            # ValueError): drop it and recompute.
             try:
                 path.unlink()
             except OSError:

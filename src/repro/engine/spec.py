@@ -31,7 +31,7 @@ from repro.sim.config import MachineConfig
 
 #: Version of the cached-artifact layout. Bump when SimResult,
 #: CompiledPair, or any pickled structure changes shape.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 ISAS = ("conventional", "block")
 

@@ -8,12 +8,15 @@ are written entirely against that interface plus ``isinstance`` checks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class VReg:
-    """A typed virtual register. ``ty`` is ``"i"`` (int) or ``"f"`` (float)."""
+class VReg(NamedTuple):
+    """A typed virtual register. ``ty`` is ``"i"`` (int) or ``"f"`` (float).
+
+    A named tuple, so hashing and equality run in C: the optimizer, the
+    verifier and machine lowering key sets and dicts by registers.
+    """
 
     id: int
     ty: str = "i"

@@ -100,40 +100,40 @@ def _check_defined_before_use(fn: Function) -> None:
     maybe-defined on entry to its block and not defined earlier in the
     block is an error)."""
     params = set(fn.params)
-    defined_out: dict[str, set[VReg]] = {}
-    preds: dict[str, list[str]] = {b.label: [] for b in fn.blocks}
     live = reachable(fn)
-    for block in fn.blocks:
-        if block.label not in live:
-            continue
+    blocks = [b for b in fn.blocks if b.label in live]
+    preds: dict[str, list[str]] = {b.label: [] for b in fn.blocks}
+    # each block's own definitions, collected once
+    defs: dict[str, set[VReg]] = {}
+    for block in blocks:
         for target in successors(block):
             preds[target].append(block.label)
+        defs[block.label] = {
+            d for d in (instr.defines() for instr in block.instrs)
+            if d is not None
+        }
+    defined_out: dict[str, set[VReg]] = {}
 
-    order = [b.label for b in fn.blocks if b.label in live]
+    def incoming(label: str) -> set[VReg]:
+        regs = set(params)
+        for p in preds[label]:
+            regs.update(defined_out.get(p, ()))
+        return regs
+
     changed = True
     # 'may be defined' forward fixpoint (union over preds)
     while changed:
         changed = False
-        for label in order:
-            block = fn.block(label)
-            incoming: set[VReg] = set(params)
-            for p in preds[label]:
-                incoming |= defined_out.get(p, set())
-            current = set(incoming)
-            for instr in block.instrs:
-                d = instr.defines()
-                if d is not None:
-                    current.add(d)
-            if defined_out.get(label) != current:
-                defined_out[label] = current
+        for block in blocks:
+            current = incoming(block.label)
+            current |= defs[block.label]
+            if defined_out.get(block.label) != current:
+                defined_out[block.label] = current
                 changed = True
 
-    for label in order:
-        block = fn.block(label)
-        incoming = set(params)
-        for p in preds[label]:
-            incoming |= defined_out.get(p, set())
-        current = set(incoming)
+    for block in blocks:
+        label = block.label
+        current = incoming(label)
         for instr in block.instrs:
             for use in instr.uses():
                 if use not in current:

@@ -55,6 +55,9 @@ class DataSegment:
     def address_of(self, name: str) -> int:
         return self.symbols[name][0]
 
+    def copy(self) -> "DataSegment":
+        return DataSegment(dict(self.symbols), dict(self.init), self.next_addr)
+
 
 class ProgramBase:
     """Fields shared by both program images."""

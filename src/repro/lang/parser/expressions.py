@@ -6,39 +6,22 @@ from repro.lang import ast_nodes as ast
 from repro.lang.parser.core import ParserBase, TYPE_KEYWORDS
 from repro.lang.tokens import TokKind
 
-# binary operator precedence, loosest first
-_BIN_LEVELS: list[set[str]] = [
-    {"||"},
-    {"&&"},
-    {"|"},
-    {"^"},
-    {"&"},
-    {"==", "!="},
-    {"<", "<=", ">", ">="},
-    {"<<", ">>"},
-    {"+", "-"},
-    {"*", "/", "%"},
-]
-
-_BIN_TOKENS = {
-    TokKind.OROR: "||",
-    TokKind.ANDAND: "&&",
-    TokKind.PIPE: "|",
-    TokKind.CARET: "^",
-    TokKind.AMP: "&",
-    TokKind.EQEQ: "==",
-    TokKind.BANGEQ: "!=",
-    TokKind.LT: "<",
-    TokKind.LE: "<=",
-    TokKind.GT: ">",
-    TokKind.GE: ">=",
-    TokKind.SHL: "<<",
-    TokKind.SHR: ">>",
-    TokKind.PLUS: "+",
-    TokKind.MINUS: "-",
-    TokKind.STAR: "*",
-    TokKind.SLASH: "/",
-    TokKind.PERCENT: "%",
+#: binary operator token -> (precedence, operator), loosest first
+_BINARY = {
+    kind: (prec, kind.value)
+    for prec, kinds in enumerate((
+        (TokKind.OROR,),
+        (TokKind.ANDAND,),
+        (TokKind.PIPE,),
+        (TokKind.CARET,),
+        (TokKind.AMP,),
+        (TokKind.EQEQ, TokKind.BANGEQ),
+        (TokKind.LT, TokKind.LE, TokKind.GT, TokKind.GE),
+        (TokKind.SHL, TokKind.SHR),
+        (TokKind.PLUS, TokKind.MINUS),
+        (TokKind.STAR, TokKind.SLASH, TokKind.PERCENT),
+    ))
+    for kind in kinds
 }
 
 
@@ -46,19 +29,20 @@ class ExpressionParserMixin(ParserBase):
     def parse_expr(self) -> ast.Expr:
         return self._binary(0)
 
-    def _binary(self, level: int) -> ast.Expr:
-        if level >= len(_BIN_LEVELS):
-            return self._unary()
-        left = self._binary(level + 1)
-        ops = _BIN_LEVELS[level]
+    def _binary(self, min_prec: int) -> ast.Expr:
+        """Precedence climbing: every operator binds left to right, so
+        the right operand takes only operators that bind tighter.
+        Operators are peeked, never probed, so they stay out of the
+        expected-token set of a later error."""
+        left = self._unary()
         while True:
             tok = self.peek()
-            op = _BIN_TOKENS.get(tok.kind)
-            if op is None or op not in ops:
+            entry = _BINARY.get(tok.kind)
+            if entry is None or entry[0] < min_prec:
                 return left
             self.next()
-            right = self._binary(level + 1)
-            left = ast.BinOp(op=op, left=left, right=right, line=tok.line)
+            right = self._binary(entry[0] + 1)
+            left = ast.BinOp(op=entry[1], left=left, right=right, line=tok.line)
 
     def _unary(self) -> ast.Expr:
         tok = self.peek()

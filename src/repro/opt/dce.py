@@ -8,20 +8,18 @@ register with zero uses makes *every* pure definition of it dead.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.ir.structure import Function
 
 
 def eliminate_dead_code(fn: Function) -> bool:
     changed = False
     while True:
-        use_counts: Counter = Counter()
+        used = set()
         for block in fn.blocks:
             for instr in block.instrs:
-                use_counts.update(instr.uses())
+                used.update(instr.uses())
             if block.term is not None:
-                use_counts.update(block.term.uses())
+                used.update(block.term.uses())
 
         removed = False
         for block in fn.blocks:
@@ -31,7 +29,7 @@ def eliminate_dead_code(fn: Function) -> bool:
                 dead = (
                     dest is not None
                     and not instr.has_side_effects
-                    and use_counts[dest] == 0
+                    and dest not in used
                 )
                 if dead:
                     removed = True

@@ -115,3 +115,58 @@ def test_all_keywords_recognized():
     for word, kind in KEYWORDS.items():
         toks = tokenize(word)
         assert toks[0].kind is kind, word
+
+
+@pytest.mark.parametrize(
+    "source, line, column",
+    [("x = 2²;", 1, 6), ("x = ²;", 1, 5), ("a\n  1.5²", 2, 6)],
+)
+def test_non_decimal_digit_is_a_lex_error(source, line, column):
+    # str.isdigit accepts '²' but int() does not: it must fail as a
+    # named LexError at its own position, not as a bare ValueError
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    err = exc.value
+    assert err.diagnostic.message == "unexpected character '²'"
+    assert (err.line, err.column) == (line, column)
+
+
+def test_non_decimal_digit_inside_identifier_is_accepted():
+    toks = tokenize("x² = 1;")
+    assert (toks[0].kind, toks[0].text) == (TokKind.IDENT, "x²")
+
+
+def test_toolchain_reports_non_decimal_digit_as_lex_error():
+    from repro.core.toolchain import Toolchain
+
+    with pytest.raises(LexError, match="unexpected character '²'"):
+        Toolchain().compile("void main() { print_int(2²); }")
+
+
+def test_lex_error_diagnostics_keep_span_hint_and_notes():
+    with pytest.raises(LexError) as exc:
+        tokenize("int a;\n  /* open")
+    diag = exc.value.diagnostic
+    assert diag.message == "unterminated block comment"
+    assert (diag.span.line, diag.span.column, diag.span.end_column) == (2, 3, 5)
+    assert diag.hint == "add the closing '*/'"
+    assert diag.notes == (
+        "the comment opened here (line 2) is still open at end of input",
+    )
+    with pytest.raises(LexError) as exc:
+        tokenize("x = 0x1g;")
+    span = exc.value.diagnostic.span
+    assert (span.line, span.column, span.end_column) == (1, 5, 9)
+
+
+def test_tokens_compare_by_value_and_know_their_end():
+    from repro.lang.tokens import Token
+
+    a, eof = tokenize("abc")
+    assert a == Token(TokKind.IDENT, "abc", 1, 1)
+    assert a != Token(TokKind.IDENT, "abc", 1, 2)
+    assert hash(a) == hash(Token(TokKind.IDENT, "abc", 1, 1))
+    assert a.end_column == 4
+    assert (eof.column, eof.end_column) == (4, 5)
+    with pytest.raises(AttributeError):
+        a.text = "x"

@@ -1,14 +1,18 @@
 """Edge coverage for the telemetry ring buffer and the artifact cache:
 EventTrace wraparound semantics and ArtifactCache eviction of corrupt
-on-disk entries (truncated or garbage bytes must read as misses and be
-deleted, never crash)."""
+on-disk entries (truncated or garbage bytes, or a pickle of a class
+whose shape has changed, must read as misses and be deleted, never
+crash)."""
 
 from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
 
+import pytest
+
 from repro.engine import ArtifactCache
+from repro.ir.instructions import VReg
 from repro.obs.events import EventTrace
 
 
@@ -120,6 +124,32 @@ class TestArtifactCacheCorruption:
         # the slot is usable again after eviction
         cache.store(key, "fresh")
         assert cache.load(key) == "fresh"
+
+    @pytest.mark.parametrize(
+        "reduce_to",
+        [
+            # a VReg pickled before VReg became a named tuple loads as
+            # VReg.__new__() with its fields missing: TypeError
+            (VReg, ()),
+            # a constructor that rejects its stale arguments: ValueError
+            (int, ("not a number",)),
+        ],
+        ids=["TypeError", "ValueError"],
+    )
+    def test_stale_shape_evicted(self, tmp_path, reduce_to):
+        class Stale:
+            def __reduce__(self):
+                return reduce_to
+
+        cache = ArtifactCache(tmp_path)
+        key = "ef" + "5" * 62
+        cache.store(key, Stale())
+        path = cache._path(key)
+        assert path.exists()
+        misses = cache.misses
+        assert cache.load(key) is None
+        assert cache.misses == misses + 1
+        assert not path.exists()
 
     def test_stale_global_reference_evicted(self, tmp_path):
         # A pickle referencing a module that no longer exists (stale
