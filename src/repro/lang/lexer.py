@@ -2,9 +2,9 @@
 
 One master pattern holds a named group per token class (trivia,
 numbers, names, operators, and a catch-all for any other character).
-Every position of the source matches exactly one group, so ``finditer``
-walks the text one token per match, and a token's line and column come
-from its match position.
+Some group matches at every position, so ``finditer`` never skips text
+and walks it one token per match; a token's line and column come from
+its match position.
 
 Lex errors carry a :class:`~repro.lang.diagnostics.Diagnostic`: the
 rendered message always includes line/column and a caret-underlined
@@ -21,8 +21,8 @@ from repro.errors import LexError
 from repro.lang.diagnostics import Diagnostic, Span
 from repro.lang.tokens import KEYWORDS, TokKind, Token
 
-#: operator and punctuation text -> kind (the pattern below tries the
-#: two-character operators first)
+#: operator and punctuation text -> kind (each such kind's value is its
+#: text)
 _PUNCT = {kind.value: kind for kind in TokKind if not kind.value[0].isalnum()}
 
 # ``\d`` is a decimal digit, the set ``int()`` and ``float()`` accept;
