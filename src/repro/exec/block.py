@@ -21,15 +21,17 @@ faults fire and no squashed units are emitted (Figure 4's configuration).
 
 The trace is recorded straight into a
 :class:`~repro.sim.packed.PackedTrace`: each block is decoded once per
-capture (:mod:`repro.exec.opsem`), its static columns are appended
-whole, and a silently resolved variant's columns are rolled back while
-its uids stay consumed, because ``op_uid`` is part of the trace bytes.
+program object, for all its captures (:mod:`repro.exec.opsem`), its
+static columns are appended whole, and a silently resolved variant's
+columns are rolled back while its uids stay consumed, because
+``op_uid`` is part of the trace bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
+from weakref import WeakKeyDictionary
 
 from repro.errors import ExecutionError
 from repro.exec.memory import Memory, STACK_BASE
@@ -47,6 +49,12 @@ if TYPE_CHECKING:
     from repro.sim.packed import PackedTrace
 
 _DEFAULT_OP_LIMIT = 500_000_000
+
+#: program -> its decode table (block address -> :func:`decode_run`
+#: result), shared by every capture of that program object. It lives
+#: here, not on the program, so it is never pickled into a compile
+#: artifact: a program loaded from one decodes afresh.
+_DECODED: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass
@@ -151,7 +159,7 @@ class BlockExecutor:
         #: register -> position of its last committed producer
         writer = [-1] * len(regs)
         store_writer: dict[int, int] = {}
-        decoded: dict[int, tuple] = {}
+        decoded: dict[int, tuple] = _DECODED.setdefault(prog, {})
 
         op_uid = out.op_uid
         op_lat = out.op_lat

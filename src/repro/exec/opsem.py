@@ -1,8 +1,8 @@
 """Decoded machine operations: the functional executors' op tables.
 
-Each capture decodes the ops it fetches once — lazily, one fetch unit
-or atomic block at a time, in a table local to that capture — into
-plain tuples
+The executors decode the ops they fetch once — lazily, one fetch unit
+or atomic block at a time, in a table local to a conventional capture
+or shared by every capture of a block program — into plain tuples
 
     ``(kind, dest, srcs, imm, fn, aux)``
 
@@ -12,7 +12,8 @@ so the executors' hot loops dispatch on a small int instead of hashing
 function the decode picked from :mod:`repro.semantics` instead of
 looking it up per op. The arithmetic still comes only from
 :mod:`repro.semantics`. Nothing is cached on the program objects: they
-are pickled into compile artifacts.
+are pickled into compile artifacts, so the block executor keys its
+tables by program in a weak map instead.
 
 This module decodes the non-control ops both ISAs share (table below)
 and the static per-run columns (:func:`decode_run`); each executor

@@ -101,7 +101,9 @@ def _native(arr: array) -> array:
 class PackedTrace:
     """One captured fetch-unit stream as flat columns."""
 
-    __slots__ = tuple(name for name, _ in _COLUMNS) + ("_spans", "_vprep")
+    __slots__ = tuple(name for name, _ in _COLUMNS) + (
+        "_spans", "_vprep", "_vflags",
+    )
 
     def __init__(
         self,
@@ -130,9 +132,14 @@ class PackedTrace:
         self.deps = deps
         #: line_bytes -> (first_line array, last_line array)
         self._spans: dict[int, tuple[array, array]] = {}
-        #: repro.sim.vector's per-trace prep cache (column decodings and
-        #: per-geometry cache-outcome vectors); same lifecycle as _spans
+        #: repro.sim.vector's prep read only from the op columns and the
+        #: unit geometry (op decodings, per-geometry cache outcomes);
+        #: same lifecycle as _spans, and shared with them by
+        #: :meth:`with_unit_flags`
         self._vprep: dict = {}
+        #: repro.sim.vector's prep read from unit_flags/unit_resolve,
+        #: and its memos of the spine runs over them; never shared
+        self._vflags: dict = {}
 
     # -- capture -------------------------------------------------------
 
@@ -219,16 +226,34 @@ class PackedTrace:
         cached = self._spans.get(line_bytes)
         if cached is not None:
             return cached
-        first = array("q")
-        last = array("q")
         addr = self.unit_addr
-        size = self.unit_size
-        for u in range(len(addr)):
-            a = addr[u]
-            first.append(a // line_bytes)
-            last.append((a + max(size[u], 1) - 1) // line_bytes)
+        first = array("q", [a // line_bytes for a in addr])
+        # a zero-size unit still occupies its first line
+        last = array("q", [
+            (a + (s if s > 1 else 1) - 1) // line_bytes
+            for a, s in zip(addr, self.unit_size)
+        ])
         self._spans[line_bytes] = (first, last)
         return first, last
+
+    def with_unit_flags(
+        self, unit_resolve: array, unit_flags: array
+    ) -> "PackedTrace":
+        """This stream under new ``unit_resolve``/``unit_flags`` columns.
+
+        Every other column is shared read-only, and so is everything
+        cached from those columns alone: the line spans and
+        :mod:`repro.sim.vector`'s column prep (``_vprep``). The prep
+        read from the flags (``_vflags``) starts empty.
+        """
+        trace = PackedTrace(
+            self.unit_addr, self.unit_size, unit_resolve, unit_flags,
+            self.unit_op_start, self.op_uid, self.op_lat, self.op_mem,
+            self.op_flags, self.op_dep_start, self.deps,
+        )
+        trace._spans = self._spans
+        trace._vprep = self._vprep
+        return trace
 
     # -- lossless round-trip -------------------------------------------
 
@@ -344,6 +369,7 @@ class PackedTrace:
             setattr(self, name, getattr(other, name))
         self._spans = {}
         self._vprep = {}
+        self._vflags = {}
 
     # -- comparison / debugging ----------------------------------------
 

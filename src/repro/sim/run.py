@@ -322,29 +322,21 @@ def derive_perfect_bp(captured: CapturedRun) -> CapturedRun:
     mispredict marks cleared, equal field for field to a
     ``predictor=None`` capture. The new trace gets its own
     ``unit_flags`` and ``unit_resolve`` columns and shares every other
-    column with *captured* read-only. On the BS-ISA the predictor
-    picks which enlarged variant is fetched, so its two streams really
-    differ; a block capture raises :class:`SimulationError`.
+    column with *captured* read-only, together with the replay prep
+    computed from those columns
+    (:meth:`~repro.sim.packed.PackedTrace.with_unit_flags`). On the
+    BS-ISA the predictor picks which enlarged variant is fetched, so
+    its two streams really differ; a block capture raises
+    :class:`SimulationError`.
     """
     if captured.isa != "conventional":
         raise SimulationError(
             "only a conventional capture derives its perfect-prediction "
             f"run; got {captured.isa!r}"
         )
-    real = captured.trace
-    n = real.num_units
-    trace = PackedTrace(
-        unit_addr=real.unit_addr,
-        unit_size=real.unit_size,
-        unit_resolve=array("q", [-1]) * n,
-        unit_flags=array("B", bytes(n)),
-        unit_op_start=real.unit_op_start,
-        op_uid=real.op_uid,
-        op_lat=real.op_lat,
-        op_mem=real.op_mem,
-        op_flags=real.op_flags,
-        op_dep_start=real.op_dep_start,
-        deps=real.deps,
+    n = captured.trace.num_units
+    trace = captured.trace.with_unit_flags(
+        unit_resolve=array("q", [-1]) * n, unit_flags=array("B", bytes(n))
     )
     stats = replace(
         captured.stats, mispredicts=0, outputs=list(captured.stats.outputs)
@@ -402,7 +394,7 @@ def prepare_sweep(
 ) -> int:
     """Shared precompute for replaying *captured* under every *config*.
 
-    On the vectorized kernel this primes the trace's ``_vprep`` cache
+    On the vectorized kernel this primes the trace's prep caches
     with one Mattson stack-distance traversal per
     ``(line_bytes, num_sets)`` geometry group — covering every
     associativity in the group — plus the config-independent column

@@ -12,18 +12,30 @@ not approximate (enforced by the three-way differential tests in
 
 The design splits the replay into three ingredients:
 
-* **timing-independent precompute**, fully vectorized over whole columns
-  and cached on the trace (``PackedTrace._vprep``): dependence columns
-  decoded once, :func:`span_lines` expands the icache line spans into
-  the flat access stream, LRU hit/miss outcomes come from
-  :func:`lru_hits` (cache behaviour is a pure function of the access
-  *sequence*, never of prior hit results), per-unit fetch costs and
-  effective op latencies with dcache-miss penalties folded in;
+* **timing-independent precompute**, vectorized over whole columns and
+  cached on the trace in two dicts, split by the columns they read:
+
+  - ``PackedTrace._vprep`` holds what the op columns and the unit
+    geometry decide, and a trace derived with new flags shares it
+    (:meth:`~repro.sim.packed.PackedTrace.with_unit_flags`): the
+    spine's per-op ``(p1, p2, p3, lat)`` records and ``extras`` (the
+    producers past the third), the dcache access stream, the icache
+    line spans and their flat access stream (:func:`span_lines`), each
+    stream's consecutive-duplicate dedup, the saturating stack
+    distances per ``(line_bytes, num_sets)`` group
+    (:func:`stack_distances`; cache behaviour is a pure function of the
+    access *sequence*, never of prior hit results), and per geometry
+    the icache and dcache outcomes, per-unit fetch costs and op
+    latencies with dcache-miss penalties folded in;
+  - ``PackedTrace._vflags`` holds what ``unit_flags``/``unit_resolve``
+    decide and is never shared: the squash, mispredict and atomic marks
+    and the resolve indices, plus this stream's memos (the ``batched``
+    mark, the pass chosen per config signature, warm-start hints and
+    the spine runs);
+
 * a **lean serial spine** carrying only the values with genuine
   loop-carried dependences (fetch redirect chains and producer→consumer
-  completion times over the dense dep edges); the precomputed
-  :func:`wavefront_levels` bound how deep those chains can reach, and
-  on the fastest path the spine degenerates to pure array scans;
+  completion times over the dense dep edges);
 * **closed-form retirement**: the in-order ``retire_width``-limited
   retirement recurrence has exact solution
   ``r[m] = max_j (ready[j] + (m - j) // W)``, which :func:`retire_scan`
@@ -308,24 +320,51 @@ def wavefront_levels(dep_start, deps, num_ops):
 
 
 def _base_prep(trace: PackedTrace) -> dict:
-    """Config-independent column decodings, cached on the trace."""
-    prep = trace._vprep.get("base")
-    if prep is not None:
+    """Config-independent column decodings, cached on the trace.
+
+    The decodings of the op columns and ``unit_op_start`` are cached in
+    ``trace._vprep``, which a trace derived with new flags shares
+    (:meth:`~repro.sim.packed.PackedTrace.with_unit_flags`); those of
+    ``unit_flags``/``unit_resolve`` in ``trace._vflags``. The dict
+    returned is ``trace._vflags`` holding both, and the spines keep
+    their memos of this stream in it.
+    """
+    prep = trace._vflags
+    if prep:  # filled here in one step, before any memo lands in it
         return prep
-    n = trace.num_ops
-    uos = _np.frombuffer(trace.unit_op_start, dtype=_np.int64)
+    cols = trace._vprep.get("cols")
+    if cols is None:
+        cols = trace._vprep["cols"] = _column_prep(trace)
     uflags = _np.frombuffer(trace.unit_flags, dtype=_np.uint8)
     resolve = _np.frombuffer(trace.unit_resolve, dtype=_np.int64)
+    squashed = (uflags & F_SQUASHED) != 0
+    mispredict = (uflags & F_MISPREDICT) != 0
+    atomic = (uflags & F_ATOMIC) != 0
+    prep.update(cols)
+    prep.update(
+        squashed=squashed,
+        mispredict=mispredict,
+        atomic=atomic,
+        sq_l=squashed.tolist(),
+        mis_l=mispredict.tolist(),
+        at_l=atomic.tolist(),
+        res_l=resolve.tolist(),
+        resolve=resolve,
+        redirects=int((squashed | mispredict).sum()),
+        squashed_ops=int(cols["nops"][squashed].sum()),
+    )
+    return prep
+
+
+def _column_prep(trace: PackedTrace) -> dict:
+    """The decodings of :func:`_base_prep` that no flag column enters."""
+    n = trace.num_ops
+    uos = _np.frombuffer(trace.unit_op_start, dtype=_np.int64)
     lat = _np.frombuffer(trace.op_lat, dtype=_np.int64)
     mem = _np.frombuffer(trace.op_mem, dtype=_np.int64)
     oflags = _np.frombuffer(trace.op_flags, dtype=_np.uint8)
     dep_start = _np.frombuffer(trace.op_dep_start, dtype=_np.int64)
     dep_col = _np.frombuffer(trace.deps, dtype=_np.int64)
-
-    squashed = (uflags & F_SQUASHED) != 0
-    mispredict = (uflags & F_MISPREDICT) != 0
-    atomic = (uflags & F_ATOMIC) != 0
-    nops = _np.diff(uos)
 
     dep_count = _np.diff(dep_start)
     dbase = dep_start[:-1]
@@ -351,18 +390,10 @@ def _base_prep(trace: PackedTrace) -> dict:
         for i in _np.flatnonzero(dep_count > 3)
     }
     dmask = mem >= 0
-    prep = {
+    return {
         "uos": uos,
         "uos_l": uos.tolist(),
-        "nops": nops,
-        "squashed": squashed,
-        "mispredict": mispredict,
-        "atomic": atomic,
-        "sq_l": squashed.tolist(),
-        "mis_l": mispredict.tolist(),
-        "at_l": atomic.tolist(),
-        "res_l": resolve.tolist(),
-        "resolve": resolve,
+        "nops": _np.diff(uos),
         "lat": lat,
         "ops": ops,
         "extras": extras,
@@ -370,11 +401,7 @@ def _base_prep(trace: PackedTrace) -> dict:
         "dacc": int(dmask.sum()),
         "dmem": mem[dmask],
         "dload": (oflags[dmask] & 1) != 0,
-        "redirects": int((squashed | mispredict).sum()),
-        "squashed_ops": int(nops[squashed].sum()),
     }
-    trace._vprep["base"] = prep
-    return prep
 
 
 def _geom_distances(trace, kind, lines, line_bytes, num_sets, assoc):
@@ -558,8 +585,8 @@ def prepare_sweep(trace: PackedTrace, configs) -> int:
     traversal per group at the group's maximum associativity, priming
     ``trace._vprep`` so every subsequent :func:`replay_packed_vector`
     call derives its hit/miss vectors by a vectorized comparison instead
-    of re-walking the access stream. Also primes the shared
-    config-independent preps (base columns, line spans).
+    of re-walking the access stream. Also primes the
+    config-independent preps (column and flag decodings, line spans).
 
     Returns the number of geometry groups traversed (0 when numpy is
     unavailable — the scalar fallback has no shared precompute).
@@ -1490,9 +1517,9 @@ def _emit_events(config, trace, base, ic, fetch, completes, unit_retire_l,
     mis_l = base["mis_l"]
     at_l = base["at_l"]
     res_l = base["res_l"]
-    addr_l = base.get("addr_l")
+    addr_l = trace._vprep.get("addr_l")
     if addr_l is None:
-        addr_l = base["addr_l"] = _np.frombuffer(
+        addr_l = trace._vprep["addr_l"] = _np.frombuffer(
             trace.unit_addr, dtype=_np.int64
         ).tolist()
     nlines_l = ic["nlines"].tolist()

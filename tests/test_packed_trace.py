@@ -6,6 +6,8 @@ pinned by ``tests/test_result_goldens.py``."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import pickle
 import random
 
@@ -16,11 +18,13 @@ from repro.core.toolchain import Toolchain
 from repro.engine import ArtifactCache, ExperimentEngine, RunSpec, build_plan
 from repro.engine.spec import trace_key
 from repro.errors import SimulationError
+from repro.exec import block as block_exec
 from repro.exec.block import BlockExecutor
 from repro.exec.conventional import ConventionalExecutor
 from repro.exec.trace import DynOp, FetchUnit
 from repro.harness import EXPERIMENT_RUNS, SuiteRunner
 from repro.obs import Telemetry
+from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
 from repro.sim.predictors import BlockPredictor, GsharePredictor
@@ -29,8 +33,12 @@ from repro.sim.run import (
     derive_perfect_bp,
     predictor_key,
     replay_captured,
+    replay_sweep,
 )
 from repro.workloads import SUITE
+
+from tests import test_capture_goldens as capture_goldens
+from tests import test_result_goldens as result_goldens
 
 SCALE = 0.05
 BENCHES = ["compress", "m88ksim"]
@@ -314,3 +322,162 @@ class TestPerfectDerivation:
         assert cache.load(
             trace_key(ckey, "conventional", self.PERFECT)
         ) is None
+
+
+# ---------------------------------------------------------------------------
+# Replay prep shared with the derived trace
+# ---------------------------------------------------------------------------
+
+
+def _fresh(captured):
+    """*captured* over a deserialized copy of its trace: no prep cached,
+    whatever earlier tests replayed."""
+    return dataclasses.replace(
+        captured, trace=PackedTrace.from_bytes(captured.trace.to_bytes())
+    )
+
+
+#: result-golden key -> asdict of the scalar kernel's result
+_SCALAR: dict[str, dict] = {}
+
+
+def _conventional_configs(name: str) -> dict:
+    """Result-golden key -> config of *name*'s conventional paper runs."""
+    return {
+        key: config
+        for key, (bench, isa, config) in result_goldens.planned_specs().items()
+        if bench == name and isa == "conventional"
+    }
+
+
+class TestDerivedPrep:
+    """A derived perfect-prediction trace shares its parent's replay prep
+    read from the shared columns, and keeps the prep read from its own
+    flags."""
+
+    def test_derived_trace_shares_column_prep_only(self):
+        real = _fresh(
+            capture_run(
+                _pair("compress").conventional, "conventional",
+                MachineConfig(),
+            )
+        )
+        derived = derive_perfect_bp(real)
+        assert derived.trace._spans is real.trace._spans
+        assert derived.trace._vprep is real.trace._vprep
+        assert derived.trace._vflags is not real.trace._vflags
+        if vector.HAVE_NUMPY:
+            replay_captured(real, MachineConfig(), kernel="numpy")
+            replay_captured(
+                derived, MachineConfig().with_perfect_bp(), kernel="numpy"
+            )
+            assert real.trace._vprep["cols"]["ops"]
+            assert derived.trace._vflags["ops"] is real.trace._vflags["ops"]
+            assert real.trace._vflags["redirects"] > 0
+            assert derived.trace._vflags["redirects"] == 0
+
+    def test_thawed_traces_start_empty(self):
+        real = capture_run(
+            _pair("compress").conventional, "conventional", MachineConfig()
+        )
+        derived = derive_perfect_bp(real)
+        replay_captured(real, MachineConfig())
+        replay_captured(derived, MachineConfig().with_perfect_bp())
+        assert real.trace._spans
+        for trace in (real.trace, derived.trace):
+            for thawed in (
+                PackedTrace.from_bytes(trace.to_bytes()),
+                pickle.loads(pickle.dumps(trace)),
+            ):
+                assert thawed == trace
+                assert thawed._spans == {}
+                assert thawed._vprep == {}
+                assert thawed._vflags == {}
+
+    @pytest.mark.skipif(not vector.HAVE_NUMPY, reason="numpy not installed")
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("derived_first", [False, True])
+    def test_replays_in_either_order_match_scalar_and_golden(
+        self, derived_first, batched
+    ):
+        """The five conventional paper configs of every suite benchmark:
+        four on the real trace, perfect prediction on the derived one,
+        replayed either trace first, batched or one at a time. Each
+        result equals the scalar kernel's and its suite_results.json
+        pin."""
+        golden = json.loads(result_goldens.GOLDEN_PATH.read_text())["results"]
+        for name in SUITE:
+            configs = _conventional_configs(name)
+            assert len(configs) == 5, name
+            captured = capture_goldens.captured_run(
+                name, "conventional", MachineConfig()
+            )
+            real = _fresh(captured)
+            derived = derive_perfect_bp(real)
+            groups = [
+                (run, {
+                    k: c for k, c in configs.items()
+                    if c.perfect_bp == (run is derived)
+                })
+                for run in (real, derived)
+            ]
+            if derived_first:
+                groups.reverse()
+            for run, group in groups:
+                if batched:
+                    results = replay_sweep(
+                        run, list(group.values()), kernel="numpy"
+                    )
+                else:
+                    results = [
+                        replay_captured(run, config, kernel="numpy")
+                        for config in group.values()
+                    ]
+                for (key, config), result in zip(group.items(), results):
+                    if key not in _SCALAR:
+                        _SCALAR[key] = dataclasses.asdict(replay_captured(
+                            derive_perfect_bp(captured)
+                            if config.perfect_bp else captured,
+                            config,
+                            kernel="python",
+                        ))
+                    got = dataclasses.asdict(result)
+                    assert got == _SCALAR[key], key
+                    text = json.dumps(got, sort_keys=True)
+                    assert (
+                        hashlib.sha256(text.encode()).hexdigest()
+                        == golden[key]
+                    ), key
+
+    @pytest.mark.parametrize("perfect_first", [False, True])
+    def test_block_captures_share_one_decode_in_either_order(
+        self, perfect_first
+    ):
+        """One freshly compiled block program, captured under real and
+        perfect prediction in either order, decodes into one table and
+        hashes to suite_captures.json; the table never enters the
+        program's pickle."""
+        name = "compress"
+        golden = json.loads(
+            capture_goldens.GOLDEN_PATH.read_text()
+        )["captures"]
+        prog = Toolchain().compile(
+            SUITE[name].source(capture_goldens.CAPTURE_SCALE), name
+        ).block
+        pickled = pickle.dumps(prog)
+        configs = [MachineConfig(), MachineConfig().with_perfect_bp()]
+        if perfect_first:
+            configs.reverse()
+        table = None
+        for config in configs:
+            captured = capture_run(prog, "block", config)
+            key = "/".join(
+                (name, "block")
+                + tuple(str(p) for p in predictor_key(config))
+            )
+            assert capture_goldens.fingerprint(captured) == golden[key], key
+            if table is None:
+                table = block_exec._DECODED[prog]
+            assert block_exec._DECODED[prog] is table
+        assert pickle.dumps(prog) == pickled
+        assert pickle.loads(pickled) not in block_exec._DECODED
