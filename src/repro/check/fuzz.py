@@ -79,10 +79,6 @@ class FuzzResult:
         return not self.failures
 
 
-def _line_chunks(n_lines: int, chunk: int) -> list[tuple[int, int]]:
-    return [(i, min(i + chunk, n_lines)) for i in range(0, n_lines, chunk)]
-
-
 def shrink_source(
     source: str,
     still_fails: Callable[[str], bool],

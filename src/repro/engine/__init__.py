@@ -17,7 +17,6 @@ from repro.engine.cache import ArtifactCache, default_cache_root
 from repro.engine.core import ExperimentEngine
 from repro.engine.executor import (
     execute_group,
-    execute_run,
     simulate_spec,
 )
 from repro.engine.plan import RunPlan, build_plan
@@ -44,7 +43,6 @@ __all__ = [
     "config_key",
     "default_cache_root",
     "execute_group",
-    "execute_run",
     "insight_key",
     "run_key",
     "simulate_spec",

@@ -65,45 +65,6 @@ def simulate_spec(
     return replay_captured(captured, spec.config, telemetry)
 
 
-def execute_run(
-    captured: CapturedRun,
-    spec: RunSpec,
-    capture_telemetry: bool,
-    collect_insight: bool = False,
-    kernel: str = "auto",
-) -> tuple[SimResult, dict | None, InsightReport | None]:
-    """Top-level worker entry point (must stay module-level so the
-    process pool can pickle it). Replays the shipped packed trace under
-    the spec's machine config; returns the result, a telemetry snapshot
-    when *capture_telemetry* is set, and the run's
-    :class:`~repro.insight.InsightReport` when *collect_insight* is
-    set."""
-    collector = InsightCollector() if collect_insight else None
-    if not capture_telemetry:
-        result = replay_captured(
-            captured, spec.config, get_telemetry(),
-            insight=collector, kernel=kernel,
-        )
-        report = (
-            collector.report(spec.benchmark, spec.isa, spec.config)
-            if collector is not None
-            else None
-        )
-        return result, None, report
-    tel = Telemetry(trace_capacity=WORKER_TRACE_CAPACITY)
-    with tel.span("plan.run", **spec.labels()):
-        result = replay_captured(
-            captured, spec.config, tel, insight=collector, kernel=kernel
-        )
-    report = None
-    if collector is not None:
-        report = collector.report(spec.benchmark, spec.isa, spec.config)
-        # Mirror the serial path: insight metrics land in the worker
-        # session and merge home bit-identically.
-        report.publish(tel.metrics)
-    return result, tel.worker_snapshot(), report
-
-
 def execute_group(
     captured: CapturedRun,
     specs: list[RunSpec],
@@ -152,47 +113,6 @@ def execute_group(
             report.publish(tel.metrics)
         payloads.append((result, report))
     return payloads, tel.worker_snapshot()
-
-
-def execute_parallel(
-    work: list[tuple[RunSpec, CapturedRun]],
-    jobs: int,
-    capture_telemetry: bool,
-    collect_insight: bool = False,
-    kernel: str = "auto",
-) -> list[tuple[RunSpec, SimResult, dict | None, InsightReport | None]]:
-    """Execute per-spec *work* across a process pool; *work* order.
-
-    Kept for API compatibility (one work item per spec); the engine's
-    plan execution uses :func:`execute_parallel_groups`. An effective
-    worker count of 1 runs in-process — spawning a pool to feed a
-    single worker only adds pickling and fork latency.
-    """
-    workers = max(1, min(jobs, len(work)))
-    if workers == 1:
-        return [
-            (
-                spec,
-                *execute_run(
-                    captured, spec, capture_telemetry, collect_insight, kernel
-                ),
-            )
-            for spec, captured in work
-        ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (
-                spec,
-                pool.submit(
-                    execute_run, captured, spec,
-                    capture_telemetry, collect_insight, kernel,
-                ),
-            )
-            for spec, captured in work
-        ]
-        return [
-            (spec, *future.result()) for spec, future in futures
-        ]
 
 
 def execute_parallel_groups(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 from repro.backend import EnlargeConfig
 from repro.core.toolchain import Toolchain
@@ -203,9 +203,3 @@ def trace_key(compile_digest: str, isa: str, config: MachineConfig) -> str:
             }
         )
     )
-
-
-def describe_key_fields(spec: RunSpec) -> tuple[str, ...]:
-    """The MachineConfig fields that participate in *spec*'s identity
-    (all of them — exposed so tests can assert full fidelity)."""
-    return tuple(f.name for f in fields(spec.config))

@@ -15,10 +15,8 @@ encodes *targets*).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.scenario.spec import FAMILY_PREFIX, ScenarioSpec
-from repro.scenario.synth import family_source, synthesize
+from repro.scenario.spec import ScenarioSpec
+from repro.scenario.synth import family_source
 from repro.workloads.base import Workload
 
 #: the registered axis points: small/large blocks x weak/strong bias x
@@ -62,13 +60,3 @@ def get_family(name: str) -> ScenarioSpec:
         raise KeyError(
             f"unknown scenario family {name!r}; registered: {roster}"
         ) from None
-
-
-@lru_cache(maxsize=None)
-def family_report(name: str):
-    """The (memoized) synthesis result for a registered family."""
-    return synthesize(get_family(name))
-
-
-def is_family_name(name: str) -> bool:
-    return name.startswith(FAMILY_PREFIX)

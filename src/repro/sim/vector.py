@@ -10,7 +10,7 @@ is integer arithmetic, so equality with the scalar replayer is exact,
 not approximate (enforced by the three-way differential tests in
 ``tests/test_vector_kernel.py``).
 
-The design splits the replay into three ingredients:
+The design splits the replay into two ingredients:
 
 * **timing-independent precompute**, vectorized over whole columns and
   cached on the trace in two dicts, split by the columns they read:
@@ -29,32 +29,23 @@ The design splits the replay into three ingredients:
     latencies with dcache-miss penalties folded in;
   - ``PackedTrace._vflags`` holds what ``unit_flags``/``unit_resolve``
     decide and is never shared: the squash, mispredict and atomic marks
-    and the resolve indices, plus this stream's memos (the ``batched``
-    mark, the pass chosen per config signature, warm-start hints and
-    the spine runs);
+    and the resolve indices, plus this stream's one memo, the spine
+    runs;
 
-* a **lean serial spine** carrying only the values with genuine
-  loop-carried dependences (fetch redirect chains and producer→consumer
-  completion times over the dense dep edges);
-* **closed-form retirement**: the in-order ``retire_width``-limited
-  retirement recurrence has exact solution
-  ``r[m] = max_j (ready[j] + (m - j) // W)``, which :func:`retire_scan`
-  evaluates with a handful of ``maximum.accumulate`` calls per
-  wavefront instead of per-op bookkeeping (atomic blocks retire through
-  an O(1) per-block closed form instead).
+* **one exact serial spine per ISA**, carrying the values with genuine
+  loop-carried dependences: fetch redirect chains, window gating,
+  producer→consumer completion times over the dense dep edges,
+  function-unit reservations and in-order retirement. Every cold spine
+  models FU contention exactly, alone or within a sweep. The
+  conventional spine (:func:`_conv_replay`) skips op-slot bookkeeping
+  when the trace geometry proves the op window cannot bind; the BS-ISA
+  spine (:func:`_block_replay`) retires each atomic block in O(1) by
+  closed form.
 
-Function-unit contention and (on the fastest path) window gating are
-handled *optimistically*: the spine assumes they never bind, then a
-vectorized post-pass proves it (per-cycle issue counts via ``bincount``,
-window release times against dispatch cycles). The proof is an induction
-on the first would-be violation: if the optimistic schedule never
-exceeds a capacity, the serial engine made identical decisions at every
-step. When validation fails, the kernel re-runs the spine with that
-resource modeled exactly; shapes the kernel does not model (mixed
-atomic/non-atomic streams, malformed resolve indices, zero-op
-conventional units) make :func:`replay_packed_vector` return ``None``
-and the caller falls back to the scalar replayer — never silently
-wrong, at worst slower.
+Shapes the kernel does not model (mixed atomic/non-atomic streams,
+malformed resolve indices, zero-op conventional units) make
+:func:`replay_packed_vector` return ``None`` and the caller falls back
+to the scalar replayer — never silently wrong, at worst slower.
 
 ``numpy`` is optional everywhere: when absent ``HAVE_NUMPY`` is False,
 :func:`replay_packed_vector` returns ``None``, and
@@ -93,12 +84,10 @@ FALLBACKS = 0
 
 #: What ``engine.kernel_path[0]`` names after a replay: a spine result
 #: reused from an identical earlier replay of the trace (``memo``), the
-#: conventional no-gating pass (``fast``) or windowed pass without or
-#: with exact FU modeling (``window``/``window_fu``), the atomic-window
-#: pass likewise (``block``/``block_fu``), or the scalar replayer.
-KERNEL_PATHS = (
-    "memo", "fast", "window", "window_fu", "block", "block_fu", "scalar",
-)
+#: conventional windowed pass (``window_fu``) or the BS-ISA
+#: atomic-window pass (``block_fu``), both with exact FU modeling, or
+#: the scalar replayer.
+KERNEL_PATHS = ("memo", "window_fu", "block_fu", "scalar")
 #: Why a replay ran ``scalar`` (``engine.kernel_path[1]``): the caller
 #: chose the python kernel, or one per site where the vector kernel
 #: declines.
@@ -106,10 +95,6 @@ FALLBACK_REASONS = (
     "kernel_python", "no_numpy", "bad_resolve", "non_atomic_unit",
     "unit_shape",
 )
-
-#: Sentinel low enough that ``_NEG - row + row`` can never beat a real
-#: retire candidate (completion times are non-negative).
-_NEG = -(1 << 60)
 
 
 # ---------------------------------------------------------------------------
@@ -189,131 +174,6 @@ def _mtf_distances(sub, num_sets, cap):
     return out
 
 
-def lru_hits(lines, num_sets, assoc):
-    """Hit/miss outcome per access for a set-associative LRU cache.
-
-    Exact for :class:`repro.sim.cache.Cache`: whether access *t* hits
-    depends only on which distinct same-set lines were touched since the
-    previous access to the same line — never on earlier hit/miss
-    outcomes — so the whole vector is decidable from the sequence alone.
-    Folded into the :func:`stack_distances` pass: the hit vector is the
-    comparison ``distance < assoc``, and callers replaying a sweep share
-    one distance traversal across every associativity of a set-count
-    group instead of re-walking the stream per geometry.
-    """
-    return stack_distances(lines, num_sets, assoc) < assoc
-
-
-def lru_hits_listwise(lines, num_sets, assoc):
-    """The original per-geometry move-to-front LRU pass.
-
-    Kept as the property-test oracle for :func:`stack_distances` /
-    :func:`lru_hits` (tests/test_vector_kernel.py cross-checks all
-    three against the real :class:`~repro.sim.cache.Cache`). Not used
-    on any replay path.
-    """
-    lines = _np.asarray(lines, dtype=_np.int64)
-    n = len(lines)
-    hits = _np.zeros(n, dtype=bool)
-    if n == 0:
-        return hits
-    keep = _np.empty(n, dtype=bool)
-    keep[0] = True
-    _np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    hits[~keep] = True  # consecutive duplicates always hit
-    idx = _np.flatnonzero(keep)
-    sub = lines[idx].tolist()
-    out = [False] * len(sub)
-    sets: dict = {}
-    for k, line in enumerate(sub):
-        s = line % num_sets
-        ways = sets.get(s)
-        if ways is None:
-            ways = sets[s] = []
-        try:
-            ways.remove(line)
-        except ValueError:
-            if len(ways) >= assoc:
-                ways.pop()
-        else:
-            out[k] = True
-        ways.insert(0, line)
-    hits[idx] = out
-    return hits
-
-
-def retire_scan(mins, width, carry=None):
-    """Exact vectorized in-order bandwidth-limited retirement.
-
-    ``mins[m]`` is the earliest cycle op *m* may retire (its completion
-    time + 1). Returns ``(retire, carry)`` where ``retire[m]`` equals
-    the serial engine's ``retire_cycle`` after retiring op *m*, and
-    ``carry`` seeds the next wavefront (the last ``width`` retire
-    cycles). The serial recurrence
-
-        ``r[m] = max(mins[m], r[m-1], r[m-width] + 1)``
-
-    has least solution ``r[m] = max_{j<=m}(mins[j] + (m-j)//width)``;
-    splitting positions by residue class modulo ``width`` turns that
-    into row/column running maxima over a ``(blocks, width)`` grid.
-    """
-    width = int(width)
-    mins = _np.asarray(mins, dtype=_np.int64)
-    m = len(mins)
-    if carry is None:
-        # The engine's cold state (retire_cycle=0) behaves like a full
-        # wavefront retired at cycle 0 — it never binds because every
-        # real candidate is >= 1.
-        carry = _np.zeros(width, dtype=_np.int64)
-    if m == 0:
-        return _np.empty(0, dtype=_np.int64), carry
-    vals = _np.concatenate([carry, mins])
-    length = width + m
-    nblocks = -(-length // width)
-    pad = nblocks * width - length
-    if pad:
-        vals = _np.concatenate([vals, _np.full(pad, _NEG, dtype=_np.int64)])
-    rows = _np.arange(nblocks, dtype=_np.int64)[:, None]
-    grid = _np.maximum.accumulate(vals.reshape(nblocks, width) - rows, axis=0)
-    # Best candidate from columns <= t of any row <= r ...
-    left = _np.maximum.accumulate(grid, axis=1)
-    # ... and from columns > t, which cost one fewer whole block.
-    right = _np.full_like(grid, _NEG)
-    if width > 1:
-        right[:, :-1] = _np.maximum.accumulate(
-            grid[:, ::-1], axis=1
-        )[:, ::-1][:, 1:]
-    out = left + rows
-    out[1:] = _np.maximum(out[1:], right[:-1] + rows[1:] - 1)
-    out = out.reshape(-1)[width:width + m]
-    if m >= width:
-        carry = out[-width:].copy()
-    else:
-        carry = _np.concatenate([carry[m - width:], out])
-    return out, carry
-
-
-def wavefront_levels(dep_start, deps, num_ops):
-    """Dataflow level per op: 0 for ops with no producers, else
-    ``1 + max(level[producer])``.
-
-    The packed dep columns are topologically ordered (producers precede
-    consumers), so one forward sweep levelizes the whole DAG; ops
-    sharing a level form a wavefront that could resolve together. Used
-    by the differential tests to cross-check the spine's dependence
-    resolution and by trace analytics.
-    """
-    levels = [0] * num_ops
-    for i in range(num_ops):
-        top = -1
-        for d in range(dep_start[i], dep_start[i + 1]):
-            lvl = levels[deps[d]]
-            if lvl > top:
-                top = lvl
-        levels[i] = top + 1
-    return _np.array(levels, dtype=_np.int64) if _np is not None else levels
-
-
 # ---------------------------------------------------------------------------
 # Per-trace / per-geometry precompute (cached on the trace)
 # ---------------------------------------------------------------------------
@@ -326,8 +186,8 @@ def _base_prep(trace: PackedTrace) -> dict:
     ``trace._vprep``, which a trace derived with new flags shares
     (:meth:`~repro.sim.packed.PackedTrace.with_unit_flags`); those of
     ``unit_flags``/``unit_resolve`` in ``trace._vflags``. The dict
-    returned is ``trace._vflags`` holding both, and the spines keep
-    their memos of this stream in it.
+    returned is ``trace._vflags`` holding both, and the spine runs of
+    this stream are memoized in it.
     """
     prep = trace._vflags
     if prep:  # filled here in one step, before any memo lands in it
@@ -394,7 +254,6 @@ def _column_prep(trace: PackedTrace) -> dict:
         "uos": uos,
         "uos_l": uos.tolist(),
         "nops": _np.diff(uos),
-        "lat": lat,
         "ops": ops,
         "extras": extras,
         "dmask": dmask,
@@ -594,11 +453,6 @@ def prepare_sweep(trace: PackedTrace, configs) -> int:
     if _np is None:
         return 0
     base = _base_prep(trace)
-    # Batched mode: cold spines run the always-exact FU-modeled pass
-    # directly (see _block_replay) — the optimistic-variant probe only
-    # pays off on warm re-replays that the per-content spine memo
-    # already short-circuits within a batch.
-    base["batched"] = True
     ic_groups: dict = {}
     dc_groups: dict = {}
     for config in configs:
@@ -647,22 +501,18 @@ def _fetch_prep(trace, ic, l2, fetch_lines):
 
 
 def _lat_prep(trace, base, dc, l2):
-    """Spine op tuples / latency vector with dcache-miss l2 folded in."""
+    """Spine op tuples with dcache-miss l2 folded into the latency."""
     key = ("lat", l2, tuple(dc["miss_load_idx"]))
     prep = trace._vprep.get(key)
     if prep is None:
+        ops = base["ops"]
         idx = dc["miss_load_idx"]
         if idx:
-            ops = list(base["ops"])
-            lat_eff = base["lat"].copy()
+            ops = list(ops)
             for i in idx:
                 p1, p2, p3, lt = ops[i]
                 ops[i] = (p1, p2, p3, lt + l2)
-                lat_eff[i] += l2
-        else:
-            ops = base["ops"]
-            lat_eff = base["lat"]
-        prep = {"ops": ops, "lat_eff": lat_eff}
+        prep = {"ops": ops}
         trace._vprep[key] = prep
     return prep
 
@@ -704,12 +554,13 @@ def replay_packed_vector(engine, trace: PackedTrace):
     ins = engine.insight
     stats = engine.stats
 
+    exact = "block_fu" if atomic_window else "window_fu"
     nu = trace.num_units
     if nu == 0:
         stats.cycles = 1
         if ins is not None:
             ins.finish(1, 0)
-        engine.kernel_path = ("fast", None)  # nothing to gate
+        engine.kernel_path = (exact, None)  # nothing to replay
         KERNEL_RUNS += 1
         return stats
 
@@ -752,20 +603,19 @@ def replay_packed_vector(engine, trace: PackedTrace):
     # Spine memo key: the fetch/lat prep dicts are cached on the trace
     # under *content* keys (per-unit miss bytes, dcache miss-load
     # tuple), so their ids identify everything the timing spine reads —
-    # sweep geometries whose miss vectors coincide share one spine run
-    # outright, and the rest share the memoized pass choice.
-    sig = (
+    # sweep geometries whose miss vectors coincide share one spine run.
+    run_key = (
+        "vrun", atomic_window, need_aux,
         config.fu_count, config.window_ops, config.window_blocks,
         config.retire_width, config.frontend_depth,
         config.mispredict_penalty, l2, config.fetch_lines,
         id(fetch), id(lat),
     )
-    run_key = ("vrun", atomic_window, need_aux) + sig
     run = base.get(run_key)
     if run is None:
         spine = _block_replay if atomic_window else _conv_replay
-        run, path = spine(engine, base, fetch, lat, need_aux, sig)
-        base[run_key] = run
+        run = base[run_key] = spine(config, base, fetch, lat, need_aux)
+        path = exact
     else:
         path = "memo"
     engine.kernel_path = (path, None)
@@ -818,244 +668,14 @@ def replay_packed_vector(engine, trace: PackedTrace):
 # ---------------------------------------------------------------------------
 
 
-def _conv_replay(engine, base, fetch, lat, need_aux, sig):
-    """Dispatch to the cheapest conventional pass that is provably
-    exact for this (trace, config) pair; returns ``(run, path)`` with
-    *path* naming the pass (``fast``, ``window`` or ``window_fu``).
+def _conv_replay(config, base, fetch, lat, need_aux):
+    """The exact conventional spine: window gating, FU reservations and
+    in-order retirement carried inline in one serial pass.
 
-    Batched (after :func:`prepare_sweep`): a cold spine runs the
-    always-exact windowed FU pass once, as :func:`_block_replay` does.
-    Otherwise, cold: try the optimistic no-gating pass, prove it with
-    the vectorized window/FU validations; when a window binds, drop to
-    the serial windowed spine (unit-window-only when the trace geometry
-    proves the op window can never bind; full otherwise), with the FU
-    dict only when the bincount proof fails. The surviving pass is
-    memoized per config signature on the trace, so warm replays jump
-    straight to it with no wasted passes.
-    """
-    config = engine.config
-    depth = config.frontend_depth
-    penalty = config.mispredict_penalty
-    width = config.retire_width
-    uos = base["uos"]
-    nu = len(uos) - 1
-    path_key = ("cpath",) + sig
-    path = base.get(path_key)
-    # Trace-local warm-start hints for non-batched replays, keyed by the
-    # non-geometry config fields (sig minus the fetch/lat prep ids): once
-    # one geometry learns "a window binds" / "the FUs bind" under this
-    # machine shape, sibling geometries skip the doomed optimistic
-    # passes. A stale hint costs speed, never correctness — the
-    # windowed / FU-exact spine is exact for every shape.
-    win_hint = ("cwinhint",) + sig[:-2]
-    fu_hint = ("cfuhint",) + sig[:-2]
-
-    if path is None:
-        if base.get("batched"):
-            unit_only = _unit_window_only(base, config)
-            run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                    True, unit_only)
-            base[path_key] = (
-                "win", unit_only,
-                _fu_saturated(run[0], lat["lat_eff"], config.fu_count),
-            )
-            return _conv_window_result(run), "window_fu"
-        if not base.get(win_hint):
-            fast = _conv_fast_pass(base, fetch, lat, depth, penalty,
-                                   need_aux)
-            c_np = _np.array(fast[0], dtype=_np.int64)
-            retire, _ = retire_scan(c_np + 1, width)
-            d0_np = _np.array(fast[1], dtype=_np.int64)
-            n = len(c_np)
-            cap_ops = config.window_ops
-            cap_units = config.window_blocks
-            # Op-granular window: slot g frees at retire[g] and gates op
-            # g + window_ops, whose un-gated dispatch is its unit's d0.
-            ok = n <= cap_ops or bool(
-                _np.all(
-                    retire[: n - cap_ops]
-                    <= _np.repeat(d0_np, base["nops"])[cap_ops:]
-                )
-            )
-            # Unit-granular checkpoint window: unit u's slot frees when
-            # its last op retires and gates unit u + window_blocks.
-            if ok and nu > cap_units:
-                unit_retire = retire[uos[1:] - 1]
-                ok = bool(
-                    _np.all(
-                        unit_retire[: nu - cap_units] <= d0_np[cap_units:]
-                    )
-                )
-            if ok and _fu_ok(c_np, lat["lat_eff"], config.fu_count):
-                base[path_key] = ("fast",)
-                return _conv_fast_result(base, fast, retire, need_aux), "fast"
-            base[win_hint] = True
-        # A window (or the FUs) binds: pick the serial windowed spine.
-        unit_only = _unit_window_only(base, config)
-        use_fu = bool(base.get(fu_hint))
-        run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                use_fu, unit_only)
-        if not use_fu and not _fu_ok(
-            _np.array(run[0], dtype=_np.int64), lat["lat_eff"],
-            config.fu_count,
-        ):
-            base[fu_hint] = use_fu = True
-            run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                    True, unit_only)
-        base[path_key] = ("win", unit_only, use_fu)
-    elif path[0] == "fast":
-        fast = _conv_fast_pass(base, fetch, lat, depth, penalty, need_aux)
-        retire, _ = retire_scan(
-            _np.array(fast[0], dtype=_np.int64) + 1, width
-        )
-        return _conv_fast_result(base, fast, retire, need_aux), "fast"
-    else:
-        _, unit_only, use_fu = path
-        run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                use_fu, unit_only)
-    return _conv_window_result(run), "window_fu" if use_fu else "window"
-
-
-def _unit_window_only(base, config):
-    """Whether the op window provably never binds before the unit
-    window does.
-
-    When every window of window_blocks consecutive units (and the
-    leading partial window) holds at most window_ops ops, an op's
-    window slot has always been freed by the time the op-pop would read
-    it — retire is monotone here and the unit gate already waited for a
-    later retire — so the windowed pass may skip op-slot bookkeeping
-    entirely.
-    """
-    uos = base["uos"]
-    nu = len(uos) - 1
-    cap_ops = config.window_ops
-    cap_units = config.window_blocks
-    return base["uos_l"][min(cap_units, nu)] <= cap_ops and (
-        nu <= cap_units
-        or bool(_np.all(uos[cap_units:] - uos[:-cap_units] <= cap_ops))
-    )
-
-
-def _conv_fast_result(base, fast, retire, need_aux):
-    """The spine result of a proven no-gating pass."""
-    completes, _, rstall, next_fetch, gap_l = fast
-    retire_l = retire.tolist()
-    max_cycle = max(retire_l[-1], next_fetch - 1)
-    unit_retire_l = wd_l = None
-    if need_aux:
-        uos_l = base["uos_l"]
-        nu = len(uos_l) - 1
-        unit_retire_l = [retire_l[uos_l[u + 1] - 1] for u in range(nu)]
-        wd_l = [0] * nu
-    return (completes, unit_retire_l, 0, rstall, next_fetch, max_cycle,
-            gap_l, wd_l)
-
-
-def _conv_window_result(run):
-    """The spine result of a windowed pass."""
-    (completes, rc, wstall, rstall, next_fetch, gap_l, wd_l,
-     unit_retire_l) = run
-    return (completes, unit_retire_l, wstall, rstall, next_fetch,
-            max(rc, next_fetch - 1), gap_l, wd_l)
-
-
-def _fu_ok(completes, lat_eff, fu_count):
-    """Prove the optimistic schedule never oversubscribes the function
-    units: if no cycle issues more than ``fu_count`` ops even in the
-    whole-trace histogram, the serial reservation loop returned
-    ``start == ready`` for every op (induction on op order: prefix
-    counts never exceed total counts)."""
-    if len(completes) == 0:
-        return True
-    starts = completes - lat_eff
-    return int(_np.bincount(starts).max()) <= fu_count
-
-
-def _fu_saturated(completes, lat_eff, fu_count):
-    """Whether an FU-exact schedule may differ from the optimistic one.
-
-    An op waits for a function unit only when its ready cycle is
-    already full, so a schedule in which no cycle reaches ``fu_count``
-    issues delayed nothing: the FU-free pass yields it too.
-    """
-    if len(completes) == 0:
-        return False
-    starts = _np.array(completes, dtype=_np.int64) - lat_eff
-    return int(_np.bincount(starts).max()) >= fu_count
-
-
-def _conv_fast_pass(base, fetch, lat, depth, penalty, need_aux):
-    """Serial spine assuming no window gating and no FU contention."""
-    uos_l = base["uos_l"]
-    adv_l = fetch["adv_l"]
-    mis_l = base["mis_l"]
-    res_l = base["res_l"]
-    ops = lat["ops"]
-    extras = base["extras"]
-    ex_get = extras.get
-    has_ex = bool(extras)
-    nu = len(uos_l) - 1
-    c = [0] * uos_l[-1]
-    d0_l = [0] * nu
-    gap_l = [0] * nu if need_aux else None
-    nf = 0
-    ra = 0
-    rstall = 0
-    for u in range(nu):
-        lo = uos_l[u]
-        hi = uos_l[u + 1]
-        if ra > nf:
-            if need_aux:
-                gap_l[u] = ra - nf
-            rstall += ra - nf
-            f0 = ra
-        else:
-            f0 = nf
-        fe = f0 + adv_l[u]
-        nf = fe + 1
-        d0 = fe + depth
-        d0_l[u] = d0
-        d01 = d0 + 1
-        for i in range(lo, hi):
-            p1, p2, p3, lt = ops[i]
-            if p1 < 0:
-                c[i] = d01 + lt
-            else:
-                t = c[p1]
-                ready = t if t > d01 else d01
-                if p2 >= 0:
-                    t = c[p2]
-                    if t > ready:
-                        ready = t
-                    if p3 >= 0:
-                        t = c[p3]
-                        if t > ready:
-                            ready = t
-                        if has_ex:
-                            e = ex_get(i)
-                            if e is not None:
-                                for q in e:
-                                    t = c[q]
-                                    if t > ready:
-                                        ready = t
-                c[i] = ready + lt
-        if mis_l[u]:
-            ra = c[lo + res_l[u]] + 1 + penalty
-    return c, d0_l, rstall, nf, gap_l
-
-
-def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
-                      unit_only):
-    """Exact serial spine with window gating and in-order retirement
-    carried inline.
-
-    ``unit_only`` skips op-granular window slots when the caller has
-    proven (from trace geometry) that they can never bind.  ``use_fu``
-    switches from optimistic FU scheduling to exact modeling via a
-    cycle-indexed busy-count table.  Returns ``(completes,
-    final_retire, wstall, rstall, next_fetch, gap_l, wd_l,
-    unit_retire_l)``.
+    Op-granular window slots are skipped when the trace geometry proves
+    they can never bind (:func:`_unit_window_only`). Returns
+    ``(completes, unit_retire_l, wstall, rstall, next_fetch, max_cycle,
+    gap_l, wd_l)``, as :func:`_block_replay` does.
     """
     uos_l = base["uos_l"]
     adv_l = fetch["adv_l"]
@@ -1071,6 +691,7 @@ def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
     cap_units = config.window_blocks
     width = config.retire_width
     fu_count = config.fu_count
+    unit_only = _unit_window_only(base, config)
     nu = len(uos_l) - 1
     c = [0] * uos_l[-1]
     # Zero-padded FIFO views of the window heaps: every pushed release
@@ -1088,11 +709,10 @@ def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
     wstall = 0
     rc = 0  # retire cycle
     rcnt = 0  # ops retired at rc
-    if use_fu:
-        # Busy FUs per cycle, list-indexed (cheaper than a dict in the
-        # hot loop); grown on demand.
-        fu = [0] * 4096
-        fulen = 4096
+    # Busy FUs per cycle, list-indexed (cheaper than a dict in the hot
+    # loop); grown on demand.
+    fu = [0] * 4096
+    fulen = 4096
     for u in range(nu):
         lo = uos_l[u]
         hi = uos_l[u + 1]
@@ -1110,181 +730,128 @@ def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
         if rel > d:
             wstall += rel - d
             d = rel
-        if not use_fu:
-            if unit_only:
-                d1 = d + 1
-                for i in range(lo, hi):
-                    p1, p2, p3, lt = ops[i]
-                    ready = d1
-                    if p1 >= 0:
-                        t = c[p1]
+        if unit_only:
+            d1 = d + 1
+            for i in range(lo, hi):
+                p1, p2, p3, lt = ops[i]
+                ready = d1
+                if p1 >= 0:
+                    t = c[p1]
+                    if t > ready:
+                        ready = t
+                    if p2 >= 0:
+                        t = c[p2]
                         if t > ready:
                             ready = t
-                        if p2 >= 0:
-                            t = c[p2]
+                        if p3 >= 0:
+                            t = c[p3]
                             if t > ready:
                                 ready = t
-                            if p3 >= 0:
-                                t = c[p3]
-                                if t > ready:
-                                    ready = t
-                                if has_ex:
-                                    e = ex_get(i)
-                                    if e is not None:
-                                        for q in e:
-                                            t = c[q]
-                                            if t > ready:
-                                                ready = t
-                    ci = ready + lt
-                    c[i] = ci
-                    if ci >= rc:
-                        rc = ci + 1
-                        rcnt = 1
-                    elif rcnt >= width:
-                        rc += 1
-                        rcnt = 1
-                    else:
-                        rcnt += 1
-            else:
-                ora = op_release.append
-                for i in range(lo, hi):
-                    v = op_release[i]
-                    if v > d:
-                        d = v
-                    p1, p2, p3, lt = ops[i]
-                    ready = d + 1
-                    if p1 >= 0:
-                        t = c[p1]
-                        if t > ready:
-                            ready = t
-                        if p2 >= 0:
-                            t = c[p2]
-                            if t > ready:
-                                ready = t
-                            if p3 >= 0:
-                                t = c[p3]
-                                if t > ready:
-                                    ready = t
-                                if has_ex:
-                                    e = ex_get(i)
-                                    if e is not None:
-                                        for q in e:
-                                            t = c[q]
-                                            if t > ready:
-                                                ready = t
-                    ci = ready + lt
-                    c[i] = ci
-                    if ci >= rc:
-                        rc = ci + 1
-                        rcnt = 1
-                    elif rcnt >= width:
-                        rc += 1
-                        rcnt = 1
-                    else:
-                        rcnt += 1
-                    ora(rc)
+                            if has_ex:
+                                e = ex_get(i)
+                                if e is not None:
+                                    for q in e:
+                                        t = c[q]
+                                        if t > ready:
+                                            ready = t
+                if ready >= fulen:
+                    fu += [0] * (ready - fulen + 4096)
+                    fulen = ready + 4096
+                busy = fu[ready]
+                while busy >= fu_count:
+                    ready += 1
+                    if ready >= fulen:
+                        fu += [0] * 4096
+                        fulen += 4096
+                    busy = fu[ready]
+                fu[ready] = busy + 1
+                ci = ready + lt
+                c[i] = ci
+                if ci >= rc:
+                    rc = ci + 1
+                    rcnt = 1
+                elif rcnt >= width:
+                    rc += 1
+                    rcnt = 1
+                else:
+                    rcnt += 1
         else:
-            if unit_only:
-                d1 = d + 1
-                for i in range(lo, hi):
-                    p1, p2, p3, lt = ops[i]
-                    ready = d1
-                    if p1 >= 0:
-                        t = c[p1]
+            ora = op_release.append
+            for i in range(lo, hi):
+                v = op_release[i]
+                if v > d:
+                    d = v
+                p1, p2, p3, lt = ops[i]
+                ready = d + 1
+                if p1 >= 0:
+                    t = c[p1]
+                    if t > ready:
+                        ready = t
+                    if p2 >= 0:
+                        t = c[p2]
                         if t > ready:
                             ready = t
-                        if p2 >= 0:
-                            t = c[p2]
+                        if p3 >= 0:
+                            t = c[p3]
                             if t > ready:
                                 ready = t
-                            if p3 >= 0:
-                                t = c[p3]
-                                if t > ready:
-                                    ready = t
-                                if has_ex:
-                                    e = ex_get(i)
-                                    if e is not None:
-                                        for q in e:
-                                            t = c[q]
-                                            if t > ready:
-                                                ready = t
+                            if has_ex:
+                                e = ex_get(i)
+                                if e is not None:
+                                    for q in e:
+                                        t = c[q]
+                                        if t > ready:
+                                            ready = t
+                if ready >= fulen:
+                    fu += [0] * (ready - fulen + 4096)
+                    fulen = ready + 4096
+                busy = fu[ready]
+                while busy >= fu_count:
+                    ready += 1
                     if ready >= fulen:
-                        fu += [0] * (ready - fulen + 4096)
-                        fulen = ready + 4096
+                        fu += [0] * 4096
+                        fulen += 4096
                     busy = fu[ready]
-                    while busy >= fu_count:
-                        ready += 1
-                        if ready >= fulen:
-                            fu += [0] * 4096
-                            fulen += 4096
-                        busy = fu[ready]
-                    fu[ready] = busy + 1
-                    ci = ready + lt
-                    c[i] = ci
-                    if ci >= rc:
-                        rc = ci + 1
-                        rcnt = 1
-                    elif rcnt >= width:
-                        rc += 1
-                        rcnt = 1
-                    else:
-                        rcnt += 1
-            else:
-                ora = op_release.append
-                for i in range(lo, hi):
-                    v = op_release[i]
-                    if v > d:
-                        d = v
-                    p1, p2, p3, lt = ops[i]
-                    ready = d + 1
-                    if p1 >= 0:
-                        t = c[p1]
-                        if t > ready:
-                            ready = t
-                        if p2 >= 0:
-                            t = c[p2]
-                            if t > ready:
-                                ready = t
-                            if p3 >= 0:
-                                t = c[p3]
-                                if t > ready:
-                                    ready = t
-                                if has_ex:
-                                    e = ex_get(i)
-                                    if e is not None:
-                                        for q in e:
-                                            t = c[q]
-                                            if t > ready:
-                                                ready = t
-                    if ready >= fulen:
-                        fu += [0] * (ready - fulen + 4096)
-                        fulen = ready + 4096
-                    busy = fu[ready]
-                    while busy >= fu_count:
-                        ready += 1
-                        if ready >= fulen:
-                            fu += [0] * 4096
-                            fulen += 4096
-                        busy = fu[ready]
-                    fu[ready] = busy + 1
-                    ci = ready + lt
-                    c[i] = ci
-                    if ci >= rc:
-                        rc = ci + 1
-                        rcnt = 1
-                    elif rcnt >= width:
-                        rc += 1
-                        rcnt = 1
-                    else:
-                        rcnt += 1
-                    ora(rc)
+                fu[ready] = busy + 1
+                ci = ready + lt
+                c[i] = ci
+                if ci >= rc:
+                    rc = ci + 1
+                    rcnt = 1
+                elif rcnt >= width:
+                    rc += 1
+                    rcnt = 1
+                else:
+                    rcnt += 1
+                ora(rc)
         if mis_l[u]:
             ra = c[lo + res_l[u]] + 1 + penalty
         if need_aux:
             wd_l[u] = d - fe - depth
         ur_append(rc)
-    unit_retire_l = unit_release[cap_units:]
-    return (c, rc, wstall, rstall, nf, gap_l, wd_l, unit_retire_l)
+    return (c, unit_release[cap_units:], wstall, rstall, nf,
+            max(rc, nf - 1), gap_l, wd_l)
+
+
+def _unit_window_only(base, config):
+    """Whether the op window provably never binds before the unit
+    window does.
+
+    When every window of window_blocks consecutive units (and the
+    leading partial window) holds at most window_ops ops, an op's
+    window slot has always been freed by the time the op-pop would read
+    it — retire is monotone here and the unit gate already waited for a
+    later retire — so the conventional spine may skip op-slot
+    bookkeeping entirely.
+    """
+    uos = base["uos"]
+    nu = len(uos) - 1
+    cap_ops = config.window_ops
+    cap_units = config.window_blocks
+    return base["uos_l"][min(cap_units, nu)] <= cap_ops and (
+        nu <= cap_units
+        or bool(_np.all(uos[cap_units:] - uos[:-cap_units] <= cap_ops))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1292,46 +859,10 @@ def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
 # ---------------------------------------------------------------------------
 
 
-def _block_replay(engine, base, fetch, lat, need_aux, sig):
-    """Atomic-window replay: real (tiny) release heap per unit, O(1)
-    closed-form block retirement, optimistic FU with exact re-run (the
-    surviving choice memoized per config signature). Returns ``(run,
-    path)`` with *path* ``block`` or ``block_fu``."""
-    config = engine.config
-    path_key = ("bpath",) + sig
-    use_fu = base.get(path_key)
-    if use_fu is None:
-        if base.get("batched"):
-            # Batched sweeps skip the optimistic probe and run the
-            # always-exact FU-modeled pass once: the spine result is
-            # memoized per geometry content, so the probe could only
-            # pay off on warm re-replays a batch never performs. The
-            # saturation check still recovers the optimistic warm path
-            # when provably identical.
-            run = _block_pass(base, fetch, lat, config, need_aux, True)
-            base[path_key] = _fu_saturated(
-                run[0], lat["lat_eff"], config.fu_count
-            )
-            return run, "block_fu"
-        # Same trace-local FU warm-start as the conventional path: a
-        # sibling geometry that needed exact FU modeling under this
-        # machine shape sends later cold spines straight to it.
-        fu_hint = ("bfuhint",) + sig[:-2]
-        use_fu = bool(base.get(fu_hint))
-        run = _block_pass(base, fetch, lat, config, need_aux, use_fu)
-        if not use_fu and not _fu_ok(
-            _np.array(run[0], dtype=_np.int64), lat["lat_eff"],
-            config.fu_count,
-        ):
-            base[fu_hint] = use_fu = True
-            run = _block_pass(base, fetch, lat, config, need_aux, True)
-        base[path_key] = use_fu
-    else:
-        run = _block_pass(base, fetch, lat, config, need_aux, use_fu)
-    return run, "block_fu" if use_fu else "block"
-
-
-def _block_pass(base, fetch, lat, config, need_aux, use_fu):
+def _block_replay(config, base, fetch, lat, need_aux):
+    """The exact atomic-window spine: a real (tiny) release heap per
+    unit, exact FU reservations and O(1) closed-form block retirement.
+    Returns the tuple :func:`_conv_replay` does."""
     uos_l = base["uos_l"]
     adv_l = fetch["adv_l"]
     sq_l = base["sq_l"]
@@ -1357,9 +888,8 @@ def _block_pass(base, fetch, lat, config, need_aux, use_fu):
     hpop = heapq.heappop
     rc = 0  # retire cycle
     rcnt = 0  # ops already retired at rc
-    if use_fu:
-        fu = [0] * 4096
-        fulen = 4096
+    fu = [0] * 4096
+    fulen = 4096
     maxrel = 0
     nf = 0
     ra = 0
@@ -1393,71 +923,43 @@ def _block_pass(base, fetch, lat, config, need_aux, use_fu):
             wd_l[u] = d0 - fe - depth
         d01 = d0 + 1
         bl = 0
-        if not use_fu:
-            for i in range(lo, hi):
-                p1, p2, p3, lt = ops[i]
-                ready = d01
-                if p1 >= 0:
-                    t = c[p1]
+        for i in range(lo, hi):
+            p1, p2, p3, lt = ops[i]
+            ready = d01
+            if p1 >= 0:
+                t = c[p1]
+                if t > ready:
+                    ready = t
+                if p2 >= 0:
+                    t = c[p2]
                     if t > ready:
                         ready = t
-                    if p2 >= 0:
-                        t = c[p2]
+                    if p3 >= 0:
+                        t = c[p3]
                         if t > ready:
                             ready = t
-                        if p3 >= 0:
-                            t = c[p3]
-                            if t > ready:
-                                ready = t
-                            if has_ex:
-                                e = ex_get(i)
-                                if e is not None:
-                                    for q in e:
-                                        t = c[q]
-                                        if t > ready:
-                                            ready = t
-                ci = ready + lt
-                c[i] = ci
-                if ci > bl:
-                    bl = ci
-        else:
-            for i in range(lo, hi):
-                p1, p2, p3, lt = ops[i]
-                ready = d01
-                if p1 >= 0:
-                    t = c[p1]
-                    if t > ready:
-                        ready = t
-                    if p2 >= 0:
-                        t = c[p2]
-                        if t > ready:
-                            ready = t
-                        if p3 >= 0:
-                            t = c[p3]
-                            if t > ready:
-                                ready = t
-                            if has_ex:
-                                e = ex_get(i)
-                                if e is not None:
-                                    for q in e:
-                                        t = c[q]
-                                        if t > ready:
-                                            ready = t
+                        if has_ex:
+                            e = ex_get(i)
+                            if e is not None:
+                                for q in e:
+                                    t = c[q]
+                                    if t > ready:
+                                        ready = t
+            if ready >= fulen:
+                fu += [0] * (ready - fulen + 4096)
+                fulen = ready + 4096
+            busy = fu[ready]
+            while busy >= fu_count:
+                ready += 1
                 if ready >= fulen:
-                    fu += [0] * (ready - fulen + 4096)
-                    fulen = ready + 4096
+                    fu += [0] * 4096
+                    fulen += 4096
                 busy = fu[ready]
-                while busy >= fu_count:
-                    ready += 1
-                    if ready >= fulen:
-                        fu += [0] * 4096
-                        fulen += 4096
-                    busy = fu[ready]
-                fu[ready] = busy + 1
-                ci = ready + lt
-                c[i] = ci
-                if ci > bl:
-                    bl = ci
+            fu[ready] = busy + 1
+            ci = ready + lt
+            c[i] = ci
+            if ci > bl:
+                bl = ci
         if sq_l[u]:
             release = c[lo + res_l[u]] + 1
             ra = release

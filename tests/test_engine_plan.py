@@ -28,7 +28,7 @@ from repro.harness import ALL_EXPERIMENTS, EXPERIMENT_RUNS, SuiteRunner
 from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
 from repro.sim.engine import TimingStats
-from repro.sim.run import SimResult, capture_run
+from repro.sim.run import SimResult, capture_run, replay_captured
 from repro.workloads import SUITE
 
 SCALE = 0.05
@@ -249,9 +249,8 @@ class TestParallelExecution:
 class TestTraceGroupedDistribution:
     def test_effective_single_worker_runs_in_process(self, monkeypatch):
         """jobs=2 with a single work item: the effective worker count
-        is 1, so neither entry point may create a pool — regression for
-        execute_parallel spawning a ProcessPoolExecutor just to feed
-        one worker."""
+        is 1, so no pool may be created — spawning a ProcessPoolExecutor
+        just to feed one worker only adds pickling and fork latency."""
         import repro.engine.executor as executor
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
@@ -265,18 +264,14 @@ class TestTraceGroupedDistribution:
         )
         captured = capture_run(pair.conventional, spec.isa, spec.config)
 
-        [(got, result, snapshot, report)] = executor.execute_parallel(
-            [(spec, captured)], 2, False
-        )
-        assert got is spec and snapshot is None and report is None
-        assert isinstance(result, SimResult)
-
         [(specs, payloads, snap)] = executor.execute_parallel_groups(
             [(captured, [spec, small])], 2, False
         )
         assert specs == [spec, small] and snap is None
+        assert all(isinstance(r, SimResult) for r, _ in payloads)
+        assert all(report is None for _, report in payloads)
         want = [
-            dataclasses.asdict(executor.execute_run(captured, s, False)[0])
+            dataclasses.asdict(replay_captured(captured, s.config))
             for s in (spec, small)
         ]
         assert [dataclasses.asdict(r) for r, _ in payloads] == want

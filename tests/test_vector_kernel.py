@@ -1,7 +1,7 @@
 """Vectorized replay kernel (repro.sim.vector): three-way differential
 bit-identity, property tests for the kernel primitives, numpy-absent
-fallbacks, and the cosim/fuzz promotion (an injected off-by-one
-wavefront bug must be caught and shrink small).
+fallbacks, and the cosim/fuzz promotion (an injected off-by-one in the
+conventional spine must be caught and shrink small).
 
 The kernel's contract is *exact* equality — every SimResult field,
 every InsightReport counter, every published metric series — against
@@ -134,8 +134,8 @@ class TestThreeWayDifferential:
             ) == report, spec
 
     def test_warm_replay_stays_exact(self):
-        """Second and third replays of one trace ride the memoized
-        fast/windowed path decisions — they must stay bit-identical."""
+        """Second and third replays of one trace reuse the memoized
+        spine run — they must stay bit-identical."""
         config = MachineConfig()
         for isa in ("conventional", "block"):
             prog = getattr(_pair("compress"), isa)
@@ -310,42 +310,8 @@ class TestKernelSelection:
 # ---------------------------------------------------------------------------
 
 
-def _retire_reference(mins, width):
-    """Brute-force least solution of the retirement recurrence
-    r[m] = max(mins[m], r[m-1], r[m-width] + 1)."""
-    out = []
-    for m in range(len(mins)):
-        out.append(max(mins[j] + (m - j) // width for j in range(m + 1)))
-    return out
-
-
 @needs_numpy
 class TestPrimitiveProperties:
-    @given(
-        mins=st.lists(st.integers(1, 50), min_size=1, max_size=60),
-        width=st.integers(1, 8),
-    )
-    @settings(max_examples=60)
-    def test_retire_scan_matches_serial_recurrence(self, mins, width):
-        got, _ = vector.retire_scan(np.array(mins, dtype=np.int64), width)
-        assert got.tolist() == _retire_reference(mins, width)
-
-    @given(
-        mins=st.lists(st.integers(1, 50), min_size=2, max_size=60),
-        width=st.integers(1, 8),
-        data=st.data(),
-    )
-    @settings(max_examples=60)
-    def test_retire_scan_carry_is_split_invariant(self, mins, width, data):
-        """Scanning in two chunks through the carry equals one scan —
-        the property that makes chunked replay exact."""
-        cut = data.draw(st.integers(1, len(mins) - 1))
-        arr = np.array(mins, dtype=np.int64)
-        whole, _ = vector.retire_scan(arr, width)
-        head, carry = vector.retire_scan(arr[:cut], width)
-        tail, _ = vector.retire_scan(arr[cut:], width, carry)
-        assert head.tolist() + tail.tolist() == whole.tolist()
-
     @given(
         lines=st.lists(st.integers(0, 20), min_size=0, max_size=80),
         num_sets=st.sampled_from([1, 2, 4]),
@@ -353,43 +319,18 @@ class TestPrimitiveProperties:
     )
     @settings(max_examples=60)
     def test_lru_hits_matches_the_real_cache(self, lines, num_sets, assoc):
-        """The hit/miss vector must agree access-by-access with the
-        scalar Cache model the engine uses."""
+        """The hit/miss vector (stack distance below the associativity)
+        must agree access-by-access with the scalar Cache model the
+        engine uses."""
         line_bytes = 64
         cache = Cache(
             CacheConfig(num_sets * assoc * line_bytes, assoc, line_bytes)
         )
         want = [cache.access_line(line) for line in lines]
-        got = vector.lru_hits(lines, num_sets, assoc)
+        got = vector.stack_distances(lines, num_sets, assoc) < assoc
         assert got.tolist() == want
         assert cache.accesses == len(lines)
         assert cache.misses == len(lines) - int(got.sum())
-
-    @given(data=st.data())
-    @settings(max_examples=60)
-    def test_wavefront_levels_match_recursive_reference(self, data):
-        """level[i] = 0 for source ops, else 1 + max(level[producers]);
-        producers are always earlier ops (the packed topological
-        order)."""
-        n = data.draw(st.integers(0, 30))
-        dep_start = [0]
-        deps = []
-        for i in range(n):
-            producers = (
-                data.draw(
-                    st.lists(st.integers(0, i - 1), max_size=3)
-                )
-                if i
-                else []
-            )
-            deps.extend(producers)
-            dep_start.append(len(deps))
-        want = []
-        for i in range(n):
-            prods = deps[dep_start[i]:dep_start[i + 1]]
-            want.append(1 + max(want[d] for d in prods) if prods else 0)
-        got = vector.wavefront_levels(dep_start, deps, n)
-        assert list(got) == want
 
     @given(
         spans=st.lists(
@@ -418,6 +359,40 @@ class TestPrimitiveProperties:
 # ---------------------------------------------------------------------------
 
 
+def lru_hits_listwise(lines, num_sets, assoc):
+    """The per-geometry move-to-front LRU pass: the oracle for
+    ``vector.stack_distances`` and ``vector._geom_distances``, itself
+    cross-checked against the real :class:`~repro.sim.cache.Cache`."""
+    lines = np.asarray(lines, dtype=np.int64)
+    n = len(lines)
+    hits = np.zeros(n, dtype=bool)
+    if n == 0:
+        return hits
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    hits[~keep] = True  # consecutive duplicates always hit
+    idx = np.flatnonzero(keep)
+    sub = lines[idx].tolist()
+    out = [False] * len(sub)
+    sets: dict = {}
+    for k, line in enumerate(sub):
+        s = line % num_sets
+        ways = sets.get(s)
+        if ways is None:
+            ways = sets[s] = []
+        try:
+            ways.remove(line)
+        except ValueError:
+            if len(ways) >= assoc:
+                ways.pop()
+        else:
+            out[k] = True
+        ways.insert(0, line)
+    hits[idx] = out
+    return hits
+
+
 @needs_numpy
 class TestStackDistances:
     """The all-associativity primitive the sweep precompute rests on,
@@ -438,7 +413,7 @@ class TestStackDistances:
         assoc <= C: dist < assoc iff the per-assoc oracle hits."""
         dist = vector.stack_distances(lines, num_sets, max_assoc)
         for assoc in range(1, max_assoc + 1):
-            want = vector.lru_hits_listwise(lines, num_sets, assoc)
+            want = lru_hits_listwise(lines, num_sets, assoc)
             assert (dist < assoc).tolist() == want.tolist(), assoc
 
     @given(
@@ -457,8 +432,7 @@ class TestStackDistances:
         want = [cache.access_line(line) for line in lines]
         dist = vector.stack_distances(lines, num_sets, assoc)
         assert (dist < assoc).tolist() == want
-        assert vector.lru_hits(lines, num_sets, assoc).tolist() == want
-        assert vector.lru_hits_listwise(
+        assert lru_hits_listwise(
             lines, num_sets, assoc
         ).tolist() == want
 
@@ -483,7 +457,7 @@ class TestStackDistances:
             dist = vector._geom_distances(
                 fake, "icdist", arr, 64, num_sets, assoc
             )
-            want = vector.lru_hits_listwise(lines, num_sets, assoc)
+            want = lru_hits_listwise(lines, num_sets, assoc)
             assert (dist < assoc).tolist() == want.tolist(), assoc
 
 
@@ -525,11 +499,10 @@ class TestSweepBatchedReplay:
 
     @pytest.mark.parametrize("fu_count", [2, 16])
     def test_batched_spines_stay_exact_when_fus_bind(self, fu_count):
-        """A batched cold spine runs the FU-modeled pass directly, and
-        its saturation check records the pass a later replay of the same
-        spine takes; a replay that misses the spine memo (here: one
-        feeding an insight collector) runs that pass. With two FUs the
-        units contend for them on every path."""
+        """A batched cold spine runs the FU-modeled pass, and a replay
+        that misses the spine memo (here: one feeding an insight
+        collector) runs it again. With two FUs the units contend for
+        them on every path."""
         base = MachineConfig(fu_count=fu_count)
         configs = [base.with_icache_kb(kb) for kb in (None, 16, 64)]
         for isa in ("conventional", "block"):
@@ -549,11 +522,10 @@ class TestSweepBatchedReplay:
                 )
                 assert dataclasses.asdict(batched) == want, (isa, config)
                 assert dataclasses.asdict(rerun) == want, (isa, config)
-            if fu_count == 2:
-                exact = "window_fu" if isa == "conventional" else "block_fu"
-                paths = set(_kernel_paths(tel, isa))
-                assert (exact, None) in paths
-                assert paths <= {(exact, None), ("memo", None)}
+            exact = "window_fu" if isa == "conventional" else "block_fu"
+            paths = set(_kernel_paths(tel, isa))
+            assert (exact, None) in paths
+            assert paths <= {(exact, None), ("memo", None)}
 
     def test_prepare_sweep_counts_batched_configs(self):
         config = MachineConfig()
@@ -584,9 +556,8 @@ class TestSweepBatchedReplay:
 class TestKernelPath:
     @needs_numpy
     def test_batched_conventional_spines_run_one_exact_pass(self):
-        """Once prepare_sweep marks a trace batched, a cold conventional
-        spine runs the windowed FU pass once (no optimistic probe) and
-        every other replay reuses a memoized spine."""
+        """In a planned run, a cold conventional spine runs the windowed
+        FU pass once and every other replay reuses a memoized spine."""
         tel = Telemetry()
         runner = SuiteRunner(
             scale=SCALE, benchmarks=["compress"], telemetry=tel
@@ -599,6 +570,42 @@ class TestKernelPath:
         assert {path for path, _ in block} <= set(vector.KERNEL_PATHS)
         assert tel.metrics.get("plan.trace_replays") == plan.runs_deduped
         assert sum(conv.values()) + sum(block.values()) == plan.runs_deduped
+
+    @needs_numpy
+    @pytest.mark.parametrize("fu_count", [16, 2])
+    def test_one_at_a_time_replays_run_the_exact_pass(
+        self, monkeypatch, fu_count
+    ):
+        """A cold trace replayed one at a time, with no prepare_sweep,
+        runs its ISA's exact FU-modeled pass; a second replay feeding an
+        insight collector misses the spine memo and runs it again. Both
+        equal the scalar replay field for field."""
+        paths = []
+        replay = vector.replay_packed_vector
+
+        def recording(engine, trace):
+            stats = replay(engine, trace)
+            paths.append(engine.kernel_path)
+            return stats
+
+        monkeypatch.setattr(vector, "replay_packed_vector", recording)
+        config = MachineConfig(fu_count=fu_count)
+        for isa in ("conventional", "block"):
+            prog = getattr(_pair("compress"), isa)
+            captured = capture_run(prog, isa, config)
+            want = dataclasses.asdict(
+                replay_captured(captured, config, kernel="python")
+            )
+            cold = _cold(captured)
+            del paths[:]
+            got = [
+                replay_captured(cold, config, insight=ins, kernel="numpy")
+                for ins in (None, InsightCollector())
+            ]
+            exact = "window_fu" if isa == "conventional" else "block_fu"
+            assert paths == [(exact, None)] * 2, isa
+            for result in got:
+                assert dataclasses.asdict(result) == want, isa
 
     def test_python_kernel_reports_scalar(self):
         tel = Telemetry()
@@ -638,6 +645,19 @@ class TestKernelPath:
 # ---------------------------------------------------------------------------
 
 
+def _inject_late_final_cycle(monkeypatch):
+    """Wrap the conventional spine so that its final cycle (the last
+    retirement or fetch, whichever is later) comes out one cycle late:
+    every conventional vector replay then reports one cycle too many."""
+    spine = vector._conv_replay
+
+    def late(*args):
+        run = spine(*args)
+        return run[:5] + (run[5] + 1,) + run[6:]
+
+    monkeypatch.setattr(vector, "_conv_replay", late)
+
+
 @needs_numpy
 class TestCosimPromotion:
     CLEAN = (
@@ -661,19 +681,12 @@ class TestCosimPromotion:
     def test_injected_off_by_one_wavefront_bug_is_caught_and_shrinks(
         self, monkeypatch, tmp_path
     ):
-        """The satellite acceptance check: shift the retirement
-        wavefront scan by one cycle and the fuzzer must (a) flag it as
-        cosim.kernel_divergence and (b) delta-debug the reproducer to
-        <= 15 lines."""
+        """Make the conventional spine end one cycle late and the fuzzer
+        must (a) flag it as cosim.kernel_divergence and (b) delta-debug
+        the reproducer to <= 15 lines."""
         from repro.check import CosimChecker, Fuzzer
 
-        orig = vector.retire_scan
-
-        def off_by_one(mins, width, carry=None):
-            out, carry = orig(mins, width, carry)
-            return out + 1, carry
-
-        monkeypatch.setattr(vector, "retire_scan", off_by_one)
+        _inject_late_final_cycle(monkeypatch)
         fuzzer = Fuzzer(
             checker=CosimChecker(),
             corpus_dir=str(tmp_path),
@@ -692,13 +705,7 @@ class TestCosimPromotion:
         here both fire, which pins the invariant names."""
         from repro.check import CosimChecker
 
-        orig = vector.retire_scan
-
-        def off_by_one(mins, width, carry=None):
-            out, carry = orig(mins, width, carry)
-            return out + 1, carry
-
-        monkeypatch.setattr(vector, "retire_scan", off_by_one)
+        _inject_late_final_cycle(monkeypatch)
         report = CosimChecker().check_source(self.CLEAN, "vk-buggy")
         invariants = {v.invariant for v in report.violations}
         assert "cosim.kernel_divergence" in invariants
