@@ -15,10 +15,7 @@ stages (docs/experiment-engine.md):
 
 from repro.engine.cache import ArtifactCache, default_cache_root
 from repro.engine.core import ExperimentEngine
-from repro.engine.executor import (
-    execute_group,
-    simulate_spec,
-)
+from repro.engine.executor import execute_group, replay_group
 from repro.engine.plan import RunPlan, build_plan
 from repro.engine.spec import (
     SCHEMA_VERSION,
@@ -44,7 +41,7 @@ __all__ = [
     "default_cache_root",
     "execute_group",
     "insight_key",
+    "replay_group",
     "run_key",
-    "simulate_spec",
     "trace_key",
 ]

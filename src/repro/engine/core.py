@@ -19,9 +19,12 @@ session:
   :class:`~repro.engine.spec.RunSpec` (the entire machine config
   participates in the key) and disk-cached by content address;
 * **plans** — :meth:`execute` takes a deduplicated
-  :class:`~repro.engine.plan.RunPlan` and executes the missing runs,
-  serially or across a process pool (``jobs``), merging worker
-  telemetry back into the session in deterministic plan order.
+  :class:`~repro.engine.plan.RunPlan` and replays the missing runs one
+  trace group at a time through
+  :func:`~repro.engine.executor.replay_group`, serially or — with
+  ``jobs > 1`` and at least two groups — across a process pool,
+  merging worker telemetry back into the session in deterministic plan
+  order. :meth:`run` is the same path for one spec.
 
 Plan-level telemetry: ``plan.runs_total`` / ``plan.runs_deduped``
 counters per execution, ``plan.cache_hits{kind=run|compile|trace}`` /
@@ -40,7 +43,7 @@ from dataclasses import replace
 
 from repro.core.toolchain import CompiledPair, Toolchain
 from repro.engine.cache import ArtifactCache
-from repro.engine.executor import execute_parallel_groups
+from repro.engine.executor import execute_parallel_groups, replay_group
 from repro.engine.plan import RunPlan
 from repro.engine.spec import (
     RunSpec,
@@ -50,7 +53,7 @@ from repro.engine.spec import (
     run_key,
     trace_key,
 )
-from repro.insight import InsightCollector, InsightReport
+from repro.insight import InsightReport
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.sim.run import (
     CapturedRun,
@@ -58,8 +61,6 @@ from repro.sim.run import (
     capture_run,
     derive_perfect_bp,
     predictor_key,
-    prepare_sweep,
-    replay_captured,
 )
 from repro.workloads import SUITE, default_scale, get_workload
 
@@ -71,7 +72,7 @@ class ExperimentEngine:
         self,
         scale: float | None = None,
         benchmarks: list[str] | None = None,
-        toolchain: Toolchain | ToolchainSpec | None = None,
+        toolchain: Toolchain | None = None,
         telemetry: Telemetry | None = None,
         cache: ArtifactCache | None = None,
         jobs: int = 1,
@@ -81,15 +82,10 @@ class ExperimentEngine:
         self.scale = scale if scale is not None else default_scale()
         self.benchmarks = list(benchmarks) if benchmarks else list(SUITE)
         self.telemetry = telemetry
-        if isinstance(toolchain, ToolchainSpec):
-            self.toolchain_spec = toolchain
-            self.toolchain = toolchain.build(telemetry)
-        elif toolchain is not None:
-            self.toolchain = toolchain
-            self.toolchain_spec = ToolchainSpec.from_toolchain(toolchain)
-        else:
-            self.toolchain_spec = ToolchainSpec()
-            self.toolchain = self.toolchain_spec.build(telemetry)
+        if toolchain is None:
+            toolchain = Toolchain(telemetry=telemetry)
+        self.toolchain = toolchain
+        self.toolchain_spec = ToolchainSpec.from_toolchain(self.toolchain)
         self.cache = cache
         self.jobs = max(1, int(jobs))
         #: collect an InsightReport (cycle accounting + fetch-rate
@@ -252,57 +248,11 @@ class ExperimentEngine:
             self.cache.store(ikey, report)
 
     def run(self, spec: RunSpec) -> SimResult:
-        """One simulation, via memo → disk cache → capture/replay.
-
-        In insight mode a run only counts as satisfied when both the
-        result and its InsightReport are available; a cached result
-        with a missing report triggers a (cheap) re-replay.
-        """
-        if spec in self._results and (
-            not self.insight or spec in self._insights
-        ):
-            return self._results[spec]
-        result = self._results.get(spec)
-        if result is None:
-            result = self._load_cached_run(spec)
-        report = None
-        if self.insight:
-            report = self._insights.get(spec)
-            if report is None:
-                report = self._load_cached_insight(spec)
-        if result is None or (self.insight and report is None):
-            captured = self.captured_run(spec)
-            result, report = self._replay(spec, captured)
-            if report is not None:
-                self._store_cached_insight(spec, report)
-            self._store_cached_run(spec, result)
-        self._results[spec] = result
-        if report is not None:
-            self._insights[spec] = report
-        return result
-
-    def _replay(self, spec: RunSpec, captured: CapturedRun):
-        """One spanned replay of *captured* under *spec*'s config.
-
-        Returns ``(result, report)`` — *report* is ``None`` outside
-        insight mode. Shared by the single-run path and the grouped
-        serial sweep path so every replay carries the same
-        ``plan.run`` span and ``plan.trace_replays`` count.
-        """
-        tel = self._tel()
-        collector = InsightCollector() if self.insight else None
-        with tel.span("plan.run", **spec.labels()):
-            result = replay_captured(
-                captured, spec.config, tel,
-                insight=collector, kernel=self.kernel,
-            )
-        tel.count("plan.trace_replays")
-        report = None
-        if collector is not None:
-            report = collector.report(spec.benchmark, spec.isa, spec.config)
-            if tel.enabled:
-                report.publish(tel.metrics)
-        return result, report
+        """One simulation: :meth:`execute`'s memo → disk cache →
+        capture/replay path applied to *spec* alone (a one-spec trace
+        group)."""
+        self._produce([spec], self._tel())
+        return self._results[spec]
 
     # -- plan execution ------------------------------------------------
 
@@ -316,25 +266,54 @@ class ExperimentEngine:
             experiments=",".join(plan.experiments),
             jobs=str(self.jobs),
         ):
-            missing: list[RunSpec] = []
-            for spec in plan.runs:
-                if spec not in self._results:
-                    cached = self._load_cached_run(spec)
-                    if cached is not None:
-                        self._results[spec] = cached
-                if self.insight and spec not in self._insights:
-                    report = self._load_cached_insight(spec)
-                    if report is not None:
-                        self._insights[spec] = report
-                if spec not in self._results or (
-                    self.insight and spec not in self._insights
-                ):
-                    missing.append(spec)
-            if self.jobs > 1 and len(missing) > 1:
-                self._execute_pool(missing, tel)
-            else:
-                self._execute_serial(missing, tel)
+            self._produce(plan.runs, tel)
         return {spec: self._results[spec] for spec in plan.runs}
+
+    def _produce(self, specs, tel: Telemetry) -> None:
+        """Satisfy every spec from the memo, then the disk cache, and
+        replay the rest trace group by trace group.
+
+        In insight mode a run only counts as satisfied when both the
+        result and its InsightReport are available; a cached result
+        with a missing report triggers a (cheap) re-replay. A pool
+        starts only when ``jobs > 1`` and at least two trace groups are
+        missing; otherwise each group is captured just before it
+        replays.
+        """
+        missing: list[RunSpec] = []
+        for spec in specs:
+            if spec not in self._results:
+                cached = self._load_cached_run(spec)
+                if cached is not None:
+                    self._results[spec] = cached
+            if self.insight and spec not in self._insights:
+                report = self._load_cached_insight(spec)
+                if report is not None:
+                    self._insights[spec] = report
+            if spec not in self._results or (
+                self.insight and spec not in self._insights
+            ):
+                missing.append(spec)
+        groups = self._sweep_groups(missing)
+        if self.jobs > 1 and len(groups) > 1:
+            # Capture every group up front, then ship each trace once.
+            captured = [self._capture_group(specs, tel) for specs in groups]
+            for run in captured:
+                tel.count("plan.trace_ship_bytes", run.trace.nbytes)
+            replayed = execute_parallel_groups(
+                list(zip(captured, groups)),
+                self.jobs, tel.enabled, self.insight, self.kernel,
+            )
+            for specs, (payloads, snapshot) in zip(groups, replayed):
+                tel.merge_snapshot(snapshot)
+                self._store(specs, payloads, tel)
+        else:
+            for specs in groups:
+                payloads = replay_group(
+                    self._capture_group(specs, tel), specs, tel,
+                    self.insight, self.kernel,
+                )
+                self._store(specs, payloads, tel)
 
     def _sweep_groups(self, missing: list[RunSpec]) -> list[list[RunSpec]]:
         """Partition *missing* into trace-sharing config groups.
@@ -342,9 +321,9 @@ class ExperimentEngine:
         Group key = the trace memo key *(benchmark, isa,
         predictor_key(config))*: every spec of a group replays the same
         :class:`CapturedRun`, so its precompute is amortized
-        (:func:`repro.sim.run.prepare_sweep`) and — in pool mode — the
-        trace ships to a worker once per group, not once per spec.
-        Plan order is preserved within and across groups.
+        (:func:`~repro.engine.executor.replay_group`) and — in pool
+        mode — the trace ships to a worker once per group, not once per
+        spec. Plan order is preserved within and across groups.
         """
         groups: dict[tuple, list[RunSpec]] = {}
         for spec in missing:
@@ -352,55 +331,22 @@ class ExperimentEngine:
             groups.setdefault(memo, []).append(spec)
         return list(groups.values())
 
-    def _execute_serial(self, missing: list[RunSpec], tel: Telemetry) -> None:
-        # Sweep-batched serial path: capture once per group, run the
-        # shared multi-geometry precompute, then replay per spec —
-        # bit-identical to calling run() per spec, just without
-        # re-deriving the per-trace work for every config.
-        for specs in self._sweep_groups(missing):
-            captured = self.captured_run(specs[0])
-            tel.count("plan.sweep_groups")
-            prepare_sweep(
-                captured,
-                [spec.config for spec in specs],
-                kernel=self.kernel,
-                telemetry=tel,
-            )
-            for i, spec in enumerate(specs):
-                if i:
-                    tel.count("plan.trace_reuse")
-                result, report = self._replay(spec, captured)
-                if report is not None:
-                    self._store_cached_insight(spec, report)
-                    self._insights[spec] = report
-                self._store_cached_run(spec, result)
-                self._results[spec] = result
+    def _capture_group(
+        self, specs: list[RunSpec], tel: Telemetry
+    ) -> CapturedRun:
+        """The trace every spec of one group replays."""
+        captured = self.captured_run(specs[0])
+        tel.count("plan.sweep_groups")
+        if len(specs) > 1:
+            tel.count("plan.trace_reuse", len(specs) - 1)
+        return captured
 
-    def _execute_pool(self, missing: list[RunSpec], tel: Telemetry) -> None:
-        # Compile and capture serially up front: one functional
-        # execution per (benchmark, isa, predictor-config) group is
-        # shared across every config sweeping over it. Ship-once
-        # distribution: each group becomes ONE work item carrying the
-        # pickled CapturedRun plus its config list, so an N-point sweep
-        # pickles its trace once, not N times, and the worker amortizes
-        # the shared precompute across the group.
-        groups: list[tuple[CapturedRun, list[RunSpec]]] = []
-        for specs in self._sweep_groups(missing):
-            captured = self.captured_run(specs[0])
-            for _ in specs[1:]:
-                tel.count("plan.trace_reuse")
-            tel.count("plan.sweep_groups")
-            tel.count("plan.trace_ship_bytes", captured.trace.nbytes)
-            groups.append((captured, specs))
-        for specs, payloads, snapshot in execute_parallel_groups(
-            groups, self.jobs, tel.enabled, self.insight, self.kernel
-        ):
-            if snapshot is not None:
-                tel.merge_snapshot(snapshot)
-            for spec, (result, report) in zip(specs, payloads):
-                tel.count("plan.trace_replays")
-                self._store_cached_run(spec, result)
-                self._results[spec] = result
-                if report is not None:
-                    self._insights[spec] = report
-                    self._store_cached_insight(spec, report)
+    def _store(self, specs: list[RunSpec], payloads, tel: Telemetry) -> None:
+        """Memoize and disk-cache one group's replayed payloads."""
+        for spec, (result, report) in zip(specs, payloads):
+            tel.count("plan.trace_replays")
+            self._store_cached_run(spec, result)
+            self._results[spec] = result
+            if report is not None:
+                self._store_cached_insight(spec, report)
+                self._insights[spec] = report

@@ -1,36 +1,35 @@
-"""Process-parallel plan execution with ship-once trace distribution.
+"""Trace-grouped replay: the one replay loop, and the pool that spreads it.
 
-Runs are independent and deterministic, so a deduplicated plan can be
-spread across a :class:`concurrent.futures.ProcessPoolExecutor`. Since
-the packed-trace subsystem the parent does the *capture* — one
+:func:`replay_group` replays one :class:`~repro.sim.run.CapturedRun`
+under every :class:`~repro.engine.spec.RunSpec` of a group: one
+:func:`~repro.sim.run.prepare_sweep` pass amortizes the trace
+precompute and the multi-geometry cache vectors across the group, then
+each spec replays inside its ``plan.run`` span. Every result is
+bit-identical (``dataclasses.asdict`` equality, insight reports
+included) to a one-at-a-time replay of the same config. The engine's
+serial path, its pool workers, a single :meth:`ExperimentEngine.run
+<repro.engine.core.ExperimentEngine.run>`, scenario sweep cells and
+``bsisa perf``'s sweep leg all replay through it.
+
+Runs are independent and deterministic, so the engine may spread its
+trace groups across a :class:`concurrent.futures.ProcessPoolExecutor`
+(:func:`execute_parallel_groups`). The parent does the *capture* — one
 functional execution per ``(benchmark, isa, predictor-config)`` group,
-memoized and disk-cached — and since the sweep-batched subsystem
-(docs/experiment-engine.md) it submits ONE work item per
-``(trace, config-group)``: a picklable
-:class:`~repro.sim.run.CapturedRun` (the packed trace travels in its
-compact serialized form) plus every :class:`~repro.engine.spec.RunSpec`
-replaying it. A 12-point icache sweep therefore pickles its trace once,
-not twelve times, and the worker amortizes the shared precompute
-(:func:`repro.sim.run.prepare_sweep`) across the whole group. Workers
-only *replay* — the expensive dict/heap interpretation of the
-functional executors never runs in a worker.
+memoized and disk-cached — and submits ONE work item per group: the
+picklable trace (it travels in its compact serialized form) plus every
+spec replaying it. A 12-point icache sweep therefore pickles its trace
+once, not twelve times. Workers only *replay*; the functional
+executors never run in a worker.
 
-Each worker simulates under a **fresh** telemetry session, returning
-per-spec :class:`~repro.sim.run.SimResult`\\ s together with one
-telemetry snapshot per group. The parent merges worker snapshots in
+Each worker replays under a **fresh** telemetry session, enabled when
+the parent's is, and returns the group's ``(result, report)`` payloads
+with that session's snapshot. The parent merges worker snapshots in
 plan order (:meth:`repro.obs.Telemetry.merge_snapshot`), which makes
 the merged counters bit-identical to a serial run — counters add
 commutatively and every per-run gauge carries a unique
-``benchmark``/``isa`` label set. When *collect_insight* is set, the
-worker additionally rides an
-:class:`~repro.insight.InsightCollector` on each replay and ships the
-frozen :class:`~repro.insight.InsightReport` home the same way — the
-``insight.*`` metric series it publishes into the worker session merge
-back identically to a serial run.
-
-``--jobs 1`` never touches multiprocessing, and neither does any call
-whose *effective* worker count is 1 (e.g. ``--jobs 2`` with a single
-work item): both run the same worker entry in-process.
+``benchmark``/``isa`` label set. Insight reports ride home in the
+payloads, and the ``insight.*`` series they publish into the worker
+session merge back the same way.
 """
 
 from __future__ import annotations
@@ -39,15 +38,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.engine.spec import RunSpec
 from repro.insight import InsightCollector, InsightReport
-from repro.isa.program import BlockProgram, ConventionalProgram
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.run import (
     CapturedRun,
     SimResult,
-    capture_run,
     prepare_sweep,
     replay_captured,
-    replay_sweep,
 )
 
 #: Worker trace buffers stay small: the parent merges one buffer per
@@ -55,14 +51,41 @@ from repro.sim.run import (
 WORKER_TRACE_CAPACITY = 1024
 
 
-def simulate_spec(
-    program: ConventionalProgram | BlockProgram,
-    spec: RunSpec,
+def replay_group(
+    captured: CapturedRun,
+    specs: list[RunSpec],
     telemetry: Telemetry,
-) -> SimResult:
-    """Capture + replay one spec (in-process convenience path)."""
-    captured = capture_run(program, spec.isa, spec.config, telemetry)
-    return replay_captured(captured, spec.config, telemetry)
+    collect_insight: bool = False,
+    kernel: str = "auto",
+) -> list[tuple[SimResult, InsightReport | None]]:
+    """Replay *captured* under every spec's machine config.
+
+    Returns one ``(result, report)`` pair per spec, in *specs* order;
+    *report* is ``None`` unless *collect_insight* is set, in which case
+    each replay feeds an :class:`~repro.insight.InsightCollector` and
+    its report is published to *telemetry* when that is enabled.
+    """
+    prepare_sweep(
+        captured,
+        [spec.config for spec in specs],
+        kernel=kernel,
+        telemetry=telemetry,
+    )
+    payloads = []
+    for spec in specs:
+        collector = InsightCollector() if collect_insight else None
+        with telemetry.span("plan.run", **spec.labels()):
+            result = replay_captured(
+                captured, spec.config, telemetry,
+                insight=collector, kernel=kernel,
+            )
+        report = None
+        if collector is not None:
+            report = collector.report(spec.benchmark, spec.isa, spec.config)
+            if telemetry.enabled:
+                report.publish(telemetry.metrics)
+        payloads.append((result, report))
+    return payloads
 
 
 def execute_group(
@@ -71,47 +94,15 @@ def execute_group(
     capture_telemetry: bool,
     collect_insight: bool = False,
     kernel: str = "auto",
-) -> tuple[list[tuple[SimResult, InsightReport | None]], dict | None]:
-    """Top-level worker entry point for one ``(trace, config-group)``
-    work item (must stay module-level so the process pool can pickle
-    it). Runs the shared sweep precompute once, then replays the
-    shipped packed trace under every spec's machine config; returns the
-    per-spec ``(result, report)`` payloads in *specs* order plus one
-    telemetry snapshot when *capture_telemetry* is set."""
-    collectors = [
-        InsightCollector() if collect_insight else None for _ in specs
-    ]
-    configs = [spec.config for spec in specs]
-    if not capture_telemetry:
-        results = replay_sweep(
-            captured, configs, get_telemetry(),
-            insights=collectors, kernel=kernel,
-        )
-        payloads = []
-        for spec, result, collector in zip(specs, results, collectors):
-            report = (
-                collector.report(spec.benchmark, spec.isa, spec.config)
-                if collector is not None
-                else None
-            )
-            payloads.append((result, report))
-        return payloads, None
-    tel = Telemetry(trace_capacity=WORKER_TRACE_CAPACITY)
-    prepare_sweep(captured, configs, kernel=kernel, telemetry=tel)
-    payloads = []
-    for spec, collector in zip(specs, collectors):
-        with tel.span("plan.run", **spec.labels()):
-            result = replay_captured(
-                captured, spec.config, tel,
-                insight=collector, kernel=kernel,
-            )
-        report = None
-        if collector is not None:
-            report = collector.report(spec.benchmark, spec.isa, spec.config)
-            # Mirror the serial path: insight metrics land in the worker
-            # session and merge home bit-identically.
-            report.publish(tel.metrics)
-        payloads.append((result, report))
+) -> tuple[list[tuple[SimResult, InsightReport | None]], dict]:
+    """Pool worker entry point for one ``(trace, config-group)`` work
+    item (module-level so the pool can pickle it): :func:`replay_group`
+    under a fresh session, enabled iff *capture_telemetry*; returns the
+    payloads and that session's snapshot."""
+    tel = Telemetry(
+        enabled=capture_telemetry, trace_capacity=WORKER_TRACE_CAPACITY
+    )
+    payloads = replay_group(captured, specs, tel, collect_insight, kernel)
     return payloads, tel.worker_snapshot()
 
 
@@ -121,41 +112,16 @@ def execute_parallel_groups(
     capture_telemetry: bool,
     collect_insight: bool = False,
     kernel: str = "auto",
-) -> list[
-    tuple[
-        list[RunSpec],
-        list[tuple[SimResult, InsightReport | None]],
-        dict | None,
-    ]
-]:
-    """Execute trace-grouped *groups* across a process pool.
-
-    One work item — one pickled trace — per group; results in *groups*
-    order, payloads in each group's spec order. An effective worker
-    count of 1 (``jobs`` 1, or a single group) runs in-process.
-    """
-    workers = max(1, min(jobs, len(groups)))
-    if workers == 1:
-        return [
-            (
-                specs,
-                *execute_group(
-                    captured, specs, capture_telemetry, collect_insight, kernel
-                ),
-            )
-            for captured, specs in groups
-        ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+) -> list[tuple[list[tuple[SimResult, InsightReport | None]], dict]]:
+    """:func:`execute_group` for every group across a process pool of
+    at most *jobs* workers: one work item — one pickled trace — per
+    group; results in *groups* order."""
+    with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
         futures = [
-            (
-                specs,
-                pool.submit(
-                    execute_group, captured, specs,
-                    capture_telemetry, collect_insight, kernel,
-                ),
+            pool.submit(
+                execute_group, captured, specs,
+                capture_telemetry, collect_insight, kernel,
             )
             for captured, specs in groups
         ]
-        return [
-            (specs, *future.result()) for specs, future in futures
-        ]
+        return [future.result() for future in futures]

@@ -77,15 +77,6 @@ class ToolchainSpec:
             if_convert=toolchain.if_convert,
         )
 
-    def build(self, telemetry=None) -> Toolchain:
-        return Toolchain(
-            opt_level=self.opt_level,
-            enlarge=self.enlarge,
-            inline=self.inline,
-            if_convert=self.if_convert,
-            telemetry=telemetry,
-        )
-
     @property
     def cacheable(self) -> bool:
         """An attached branch profile is a training-run artifact, not a

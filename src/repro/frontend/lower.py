@@ -161,11 +161,6 @@ class _FunctionLowerer:
     def start_block(self, block: BasicBlock) -> None:
         self.block = block
 
-    def branch_to(self, block: BasicBlock) -> None:
-        if not self.block.terminated:
-            self.block.terminate(Jump(block.label))
-        self.start_block(block)
-
     def const(self, value: int | float, is_float: bool = False) -> VReg:
         dest = self.new_temp("f" if is_float else "i")
         self.emit(Const(dest, value))

@@ -54,11 +54,18 @@ import sys
 
 from repro.core.toolchain import Toolchain
 from repro.engine import ArtifactCache
+from repro.errors import ConfigError
 from repro.harness.experiments import ALL_EXPERIMENTS, SuiteRunner
 from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
 from repro.sim.run import simulate_block_structured, simulate_conventional
-from repro.workloads import EXTRA, SUITE, get_workload, workload_names
+from repro.workloads import (
+    EXTRA,
+    SUITE,
+    get_workload,
+    parse_scale,
+    workload_names,
+)
 
 #: Names accepted by the single-workload commands (compile, simulate,
 #: metrics, timeline, trace): the paper suite, the EXTRA registry, and
@@ -78,7 +85,34 @@ DEFAULT_VERIFY_SCALE = 0.35
 
 
 def default_verify_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_VERIFY_SCALE))
+    """``$REPRO_BENCH_SCALE`` or :data:`DEFAULT_VERIFY_SCALE`; raises
+    :class:`ConfigError` for a value that is not a positive finite
+    number."""
+    return parse_scale(
+        os.environ.get("REPRO_BENCH_SCALE", str(DEFAULT_VERIFY_SCALE)),
+        "REPRO_BENCH_SCALE",
+    )
+
+
+def _scale_arg(text: str) -> float:
+    """argparse type of every ``--scale``: a positive finite float."""
+    try:
+        return parse_scale(text, "scale")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _jobs_arg(text: str) -> int:
+    """argparse type of every ``--jobs``: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"jobs must be an integer >= 1, got {text!r}"
+        )
+    return jobs
 
 
 def _kernel_usage_error(args) -> bool:
@@ -213,7 +247,13 @@ def _cmd_verify_paper(args) -> int:
                 f"unknown benchmark(s): {', '.join(unknown)}", file=sys.stderr
             )
             return EXIT_USAGE
-    scale = args.scale if args.scale is not None else default_verify_scale()
+    try:
+        scale = (
+            args.scale if args.scale is not None else default_verify_scale()
+        )
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
     tel = _make_telemetry(args)
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     runner = SuiteRunner(
@@ -641,8 +681,6 @@ def _cmd_fuzz(args) -> int:
         print(report.summary())
         rc = 0 if report.ok else 1
     else:
-        from repro.errors import ConfigError
-
         try:
             gen_config = GenConfig(
                 array_ops=args.array_ops,
@@ -709,7 +747,6 @@ def _cmd_scenarios(args) -> int:
     import dataclasses
     import json
 
-    from repro.errors import ConfigError
     from repro.scenario.families import FAMILIES, get_family
     from repro.scenario.spec import ScenarioSpec
     from repro.scenario.sweep import render_heatmap, run_sweep
@@ -848,10 +885,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment (or 'all')")
     run.add_argument("experiment", help="table1|table2|fig3..fig7|all")
-    run.add_argument("--scale", type=float, default=1.0)
+    run.add_argument("--scale", type=_scale_arg, default=1.0)
     run.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs_arg,
         default=1,
         help="execute the deduplicated plan across N processes",
     )
@@ -894,14 +931,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--scale",
-        type=float,
+        type=_scale_arg,
         default=None,
         help="workload scale (default: $REPRO_BENCH_SCALE or "
         f"{DEFAULT_VERIFY_SCALE}, the benchmark suite's default)",
     )
     verify.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs_arg,
         default=1,
         help="execute the deduplicated plan across N processes",
     )
@@ -963,13 +1000,13 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compile", help="compile a workload and report sizes")
     comp.add_argument("workload", choices=ALL_WORKLOADS)
     comp.add_argument("--isa", choices=["conventional", "block"], default="block")
-    comp.add_argument("--scale", type=float, default=1.0)
+    comp.add_argument("--scale", type=_scale_arg, default=1.0)
     comp.add_argument("--dump", action="store_true", help="print disassembly")
     comp.set_defaults(fn=_cmd_compile)
 
     simp = sub.add_parser("simulate", help="timed comparison on one workload")
     simp.add_argument("workload", choices=ALL_WORKLOADS)
-    simp.add_argument("--scale", type=float, default=1.0)
+    simp.add_argument("--scale", type=_scale_arg, default=1.0)
     simp.add_argument("--perfect-bp", action="store_true")
     simp.add_argument(
         "--profile-guided",
@@ -988,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="simulate one workload and print its metric series"
     )
     metr.add_argument("workload", choices=ALL_WORKLOADS)
-    metr.add_argument("--scale", type=float, default=1.0)
+    metr.add_argument("--scale", type=_scale_arg, default=1.0)
     metr.add_argument("--perfect-bp", action="store_true")
     metr.add_argument("--icache-kb", type=int, default=64)
     metr.add_argument(
@@ -1014,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="benchmarks to time (default: compress gcc)",
     )
-    perf.add_argument("--scale", type=float, default=1.0)
+    perf.add_argument("--scale", type=_scale_arg, default=1.0)
     perf.add_argument(
         "-o",
         "--output",
@@ -1054,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["both", "conventional", "block"],
         default="both",
     )
-    analyze.add_argument("--scale", type=float, default=1.0)
+    analyze.add_argument("--scale", type=_scale_arg, default=1.0)
     analyze.add_argument("--perfect-bp", action="store_true")
     analyze.add_argument("--icache-kb", type=int, default=64)
     analyze.add_argument(
@@ -1080,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument(
         "--isa", choices=["conventional", "block"], default="block"
     )
-    timeline.add_argument("--scale", type=float, default=1.0)
+    timeline.add_argument("--scale", type=_scale_arg, default=1.0)
     timeline.add_argument("--perfect-bp", action="store_true")
     timeline.add_argument("--icache-kb", type=int, default=64)
     timeline.add_argument(
@@ -1096,7 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="simulate one workload and dump pipeline events (JSONL)"
     )
     trace.add_argument("workload", choices=ALL_WORKLOADS)
-    trace.add_argument("--scale", type=float, default=1.0)
+    trace.add_argument("--scale", type=_scale_arg, default=1.0)
     trace.add_argument("--perfect-bp", action="store_true")
     trace.add_argument("--icache-kb", type=int, default=64)
     trace.add_argument(
@@ -1204,7 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="synthesize one family and emit its MiniC source + report",
     )
     scen_gen.add_argument("family", help="registered family name")
-    scen_gen.add_argument("--scale", type=float, default=1.0)
+    scen_gen.add_argument("--scale", type=_scale_arg, default=1.0)
     scen_gen.add_argument(
         "--seed", type=int, default=None,
         help="override the family seed (off-registry variant)",
@@ -1241,7 +1278,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KB",
         help="icache sizes replayed per cell, batched (default: 4 16 64)",
     )
-    scen_sweep.add_argument("--scale", type=float, default=1.0)
+    scen_sweep.add_argument("--scale", type=_scale_arg, default=1.0)
     scen_sweep.add_argument("--seed", type=int, default=0)
     scen_sweep.add_argument(
         "--budget", type=int, default=6, metavar="N",
@@ -1267,7 +1304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle (all enlargement variants)",
     )
     scen_cosim.add_argument(
-        "--scale", type=float, default=0.1,
+        "--scale", type=_scale_arg, default=0.1,
         help="workload scale for the oracle runs (default 0.1)",
     )
     scen_cosim.set_defaults(fn=_cmd_scenarios)

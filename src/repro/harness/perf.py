@@ -14,7 +14,7 @@ Times the phases of the packed-trace pipeline per benchmark × ISA
   (no ``vector_s`` column) when numpy is absent or ``kernel='python'``
   is forced;
 * **sweep**    — the batched fig6/fig7-style icache sweep
-  (:func:`~repro.sim.run.replay_sweep` over perfect +
+  (:func:`~repro.engine.executor.replay_group` over perfect +
   :data:`~repro.fidelity.paper.ICACHE_SWEEP_KB`): ``sweep_per_config_s``
   replays one cold-shipped trace copy per config point (the old
   one-work-item-per-spec distribution), ``sweep_s`` ships once and
@@ -44,13 +44,15 @@ import json
 from time import perf_counter
 
 from repro.core.toolchain import Toolchain
+from repro.engine.executor import replay_group
+from repro.engine.spec import RunSpec
 from repro.fidelity.paper import ICACHE_SWEEP_KB
 from repro.obs.schema import BENCH_SCHEMA_ID
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
-from repro.sim.run import capture_run, replay_captured, replay_sweep
+from repro.sim.run import capture_run, replay_captured
 from repro.workloads import SUITE
 
 ISAS = ("conventional", "block")
@@ -141,8 +143,8 @@ def _sweep_columns(tel, captured, config, kernel, labels) -> dict:
     unpickles. The per-config leg rebuilds the copy per sweep point
     (one work item per spec, the pre-batching distribution); the sweep
     leg ships once and hands the whole config list to
-    :func:`~repro.sim.run.replay_sweep`, which amortizes the shared
-    precompute. ``sweep_match`` asserts the two result lists are
+    :func:`~repro.engine.executor.replay_group`, which amortizes the
+    shared precompute. ``sweep_match`` asserts the two result lists are
     bit-identical (``dataclasses.asdict`` equality, no tolerance).
     """
     configs = [config.with_icache_kb(None)] + [
@@ -157,9 +159,14 @@ def _sweep_columns(tel, captured, config, kernel, labels) -> dict:
         ],
         **labels,
     )
+    specs = [RunSpec(captured.name, captured.isa, c) for c in configs]
     sweep_results, sweep_s = _timed(
         tel, "perf.sweep",
-        lambda: replay_sweep(_ship(captured, blob), configs, kernel=kernel),
+        lambda: [
+            result for result, _ in replay_group(
+                _ship(captured, blob), specs, get_telemetry(), kernel=kernel
+            )
+        ],
         **labels,
     )
     return {

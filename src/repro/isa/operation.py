@@ -95,14 +95,6 @@ class MachineOp:
             nbits=self.nbits,
         )
 
-    def regs_read(self) -> tuple[int, ...]:
-        """Registers read by this operation."""
-        return self.srcs
-
-    def reg_written(self) -> int | None:
-        """Register written by this operation, or None."""
-        return self.dest
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MachineOp {self.asm()}>"
 

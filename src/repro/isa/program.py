@@ -98,9 +98,6 @@ class ConventionalProgram(ProgramBase):
             raise CompileError(f"code address {addr:#x} out of range")
         return self.ops[index]
 
-    def index_of(self, addr: int) -> int:
-        return (addr - CODE_BASE) // OP_BYTES
-
     @property
     def code_bytes(self) -> int:
         return len(self.ops) * OP_BYTES

@@ -3,8 +3,8 @@
 For every ``(bb_size, bias, hot_bytes)`` grid cell the sweep
 synthesizes one family, compiles it once per ISA, captures one
 functional run per ISA, and then replays that capture across every
-icache size through :func:`repro.sim.run.replay_sweep` — so the
-machine-axis dimension rides the sweep-batched replay path
+icache size through :func:`repro.engine.executor.replay_group` — so
+the machine-axis dimension rides the sweep-batched replay path
 (docs/performance.md) instead of re-simulating.
 
 The result is a schema-versioned ``repro.scenario/v1`` document
@@ -18,12 +18,14 @@ grid points along one axis whose winners are on opposite sides.
 from __future__ import annotations
 
 from repro.core.toolchain import Toolchain
+from repro.engine.executor import replay_group
+from repro.engine.spec import RunSpec
 from repro.harness.render import ascii_table
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.synth import DEFAULT_BUDGET, generate_source, synthesize
 from repro.sim.config import MachineConfig
-from repro.sim.run import capture_run, replay_sweep
+from repro.sim.run import capture_run
 
 SCENARIO_SCHEMA_ID = "repro.scenario/v1"
 
@@ -69,9 +71,12 @@ def sweep_cell(
             ("block", pair.block),
         ):
             captured = capture_run(prog, isa, configs[0], tel)
-            results[isa] = replay_sweep(
-                captured, configs, telemetry=tel, kernel=kernel
-            )
+            specs = [RunSpec(spec.family_name, isa, c) for c in configs]
+            results[isa] = [
+                result for result, _ in replay_group(
+                    captured, specs, tel, kernel=kernel
+                )
+            ]
     tel.count("scenario.cells")
     points = []
     for kb, conv, block in zip(icache_kb, *results.values()):

@@ -15,8 +15,9 @@ One simulation is two phases (docs/performance.md):
   config and assemble the :class:`SimResult`.
 
 ``simulate_conventional``/``simulate_block_structured`` do both in one
-call; callers sweeping machine configs — the experiment engine, the
-Fig. 6/7 icache sweeps — capture once and replay per config.
+call; callers sweeping machine configs capture once and replay the
+whole group through :func:`repro.engine.executor.replay_group`, which
+runs :func:`prepare_sweep` once for it.
 """
 
 from __future__ import annotations
@@ -415,43 +416,6 @@ def prepare_sweep(
     return vector.prepare_sweep(captured.trace, configs)
 
 
-def replay_sweep(
-    captured: CapturedRun,
-    configs,
-    telemetry: Telemetry | None = None,
-    insights=None,
-    kernel: str = "auto",
-) -> list[SimResult]:
-    """Batched replay of one captured trace under many machine configs.
-
-    The sweep entry point (docs/performance.md): one
-    :func:`prepare_sweep` pass amortizes the trace precompute and the
-    multi-geometry icache/dcache vectors across the whole config list,
-    then each config replays through :func:`replay_captured` unchanged —
-    so every returned :class:`SimResult` is bit-identical
-    (``dataclasses.asdict`` equality, insight reports included) to a
-    one-at-a-time replay of the same config.
-
-    *insights*, when given, is a sequence aligned with *configs*; each
-    non-``None`` entry is an :class:`~repro.insight.InsightCollector`
-    fed by that config's replay.
-    """
-    configs = list(configs)
-    if insights is None:
-        insights = [None] * len(configs)
-    elif len(insights) != len(configs):
-        raise SimulationError(
-            f"replay_sweep got {len(insights)} insight collectors for "
-            f"{len(configs)} configs"
-        )
-    tel = telemetry if telemetry is not None else get_telemetry()
-    prepare_sweep(captured, configs, kernel=kernel, telemetry=tel)
-    return [
-        replay_captured(captured, config, tel, insight=ins, kernel=kernel)
-        for config, ins in zip(configs, insights)
-    ]
-
-
 def replay_captured(
     captured: CapturedRun,
     config: MachineConfig | None = None,
@@ -506,44 +470,21 @@ def simulate_conventional(
     prog: ConventionalProgram,
     config: MachineConfig | None = None,
     telemetry: Telemetry | None = None,
-    captured: CapturedRun | None = None,
     insight=None,
-    kernel: str = "auto",
 ) -> SimResult:
-    """Run a timed simulation of a conventional-ISA program.
-
-    Pass ``captured`` (from :func:`capture_conventional` under a config
-    with the same :func:`predictor_key`) to skip the functional
-    execution and replay the packed stream directly.
-    """
+    """Run a timed simulation of a conventional-ISA program."""
     config = config or MachineConfig()
-    if captured is None:
-        captured = capture_conventional(prog, config, telemetry)
-    elif captured.isa != "conventional":
-        raise SimulationError(
-            f"captured trace is {captured.isa!r}, expected 'conventional'"
-        )
-    return replay_captured(
-        captured, config, telemetry, insight=insight, kernel=kernel
-    )
+    captured = capture_conventional(prog, config, telemetry)
+    return replay_captured(captured, config, telemetry, insight=insight)
 
 
 def simulate_block_structured(
     prog: BlockProgram,
     config: MachineConfig | None = None,
     telemetry: Telemetry | None = None,
-    captured: CapturedRun | None = None,
     insight=None,
-    kernel: str = "auto",
 ) -> SimResult:
     """Run a timed simulation of a block-structured ISA program."""
     config = config or MachineConfig()
-    if captured is None:
-        captured = capture_block_structured(prog, config, telemetry)
-    elif captured.isa != "block":
-        raise SimulationError(
-            f"captured trace is {captured.isa!r}, expected 'block'"
-        )
-    return replay_captured(
-        captured, config, telemetry, insight=insight, kernel=kernel
-    )
+    captured = capture_block_structured(prog, config, telemetry)
+    return replay_captured(captured, config, telemetry, insight=insight)

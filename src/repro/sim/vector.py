@@ -23,7 +23,7 @@ The design splits the replay into two ingredients:
     line spans and their flat access stream (:func:`span_lines`), each
     stream's consecutive-duplicate dedup, the saturating stack
     distances per ``(line_bytes, num_sets)`` group
-    (:func:`stack_distances`; cache behaviour is a pure function of the
+    (:func:`_geom_distances`; cache behaviour is a pure function of the
     access *sequence*, never of prior hit results), and per geometry
     the icache and dcache outcomes, per-unit fetch costs and op
     latencies with dcache-miss penalties folded in;
@@ -119,41 +119,17 @@ def span_lines(first, last):
     return _np.repeat(first, nlines) + offsets, starts
 
 
-def stack_distances(lines, num_sets, max_assoc):
-    """Saturating Mattson stack distance per access for set-indexed LRU.
-
-    ``dist[t]`` is the number of *distinct* same-set lines touched since
-    the previous access to ``lines[t]`` (its depth in the per-set LRU
-    stack), clipped at *max_assoc*; cold misses report *max_assoc*. The
-    classic all-associativity property: access *t* hits an ``assoc``-way
-    LRU cache **iff** ``dist[t] < assoc``, so ONE traversal decides the
-    exact hit/miss vector for every associativity up to the saturation
-    cap — a whole sweep's geometries sharing ``num_sets`` are priced by
-    a single pass at the group's maximum associativity.
-
-    Exactness of the clip: the truncated move-to-front stacks kept here
-    are the top-``max_assoc`` prefix of the full LRU stacks (LRU stack
-    inclusion), so positions below the cap are exact and anything
-    deeper is correctly ≥ cap — a miss for every ``assoc <= max_assoc``.
-    Consecutive accesses to the same line have distance 0 and never
-    disturb LRU order, which removes ~30-55% of a real stream before
-    the residual move-to-front pass.
-    """
-    lines = _np.asarray(lines, dtype=_np.int64)
-    n = len(lines)
-    dist = _np.zeros(n, dtype=_np.int64)
-    if n == 0:
-        return dist
-    keep = _np.empty(n, dtype=bool)
-    keep[0] = True
-    _np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    idx = _np.flatnonzero(keep)
-    dist[idx] = _mtf_distances(lines[idx].tolist(), num_sets, int(max_assoc))
-    return dist
-
-
 def _mtf_distances(sub, num_sets, cap):
-    """The residual move-to-front pass over a deduplicated stream."""
+    """Saturating Mattson stack distances of a deduplicated stream.
+
+    ``out[k]`` is the number of *distinct* same-set lines touched since
+    the previous access to ``sub[k]`` (its depth in the per-set LRU
+    stack), clipped at *cap*; cold misses report *cap*. Access *k* hits
+    an ``assoc``-way LRU cache iff ``out[k] < assoc``, for every
+    ``assoc <= cap``: the truncated stacks kept here are the top-*cap*
+    prefix of the full LRU stacks (LRU stack inclusion), so depths
+    below the cap are exact and anything deeper is a miss.
+    """
     out = [cap] * len(sub)
     sets: dict = {}
     for k, line in enumerate(sub):

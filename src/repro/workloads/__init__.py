@@ -12,7 +12,7 @@ itself) and prints a checksum, so the three executors can be checked for
 output equivalence on the full suite.
 """
 
-from repro.workloads.base import Workload, default_scale
+from repro.workloads.base import Workload, default_scale, parse_scale
 from repro.workloads import (
     compress_w,
     gcc_w,

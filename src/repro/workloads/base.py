@@ -17,16 +17,19 @@ def default_scale() -> float:
     a non-numeric, non-positive, or non-finite REPRO_SCALE instead of
     silently producing a nonsense workload.
     """
-    raw = os.environ.get("REPRO_SCALE", "1.0")
+    return parse_scale(os.environ.get("REPRO_SCALE", "1.0"), "REPRO_SCALE")
+
+
+def parse_scale(raw: str, what: str) -> float:
+    """*raw* as a workload scale: a positive finite number, else a
+    :class:`ConfigError` naming *what*."""
     try:
         scale = float(raw)
     except ValueError:
-        raise ConfigError(
-            f"REPRO_SCALE must be a number, got {raw!r}"
-        ) from None
+        raise ConfigError(f"{what} must be a number, got {raw!r}") from None
     if not math.isfinite(scale) or scale <= 0:
         raise ConfigError(
-            f"REPRO_SCALE must be a positive finite number, got {raw!r}"
+            f"{what} must be a positive finite number, got {raw!r}"
         )
     return scale
 
@@ -50,8 +53,8 @@ class Workload:
     def source(self, scale: float | None = None) -> str:
         if scale is None:
             scale = self.default_scale
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not math.isfinite(scale) or scale <= 0:
+            raise ValueError("scale must be positive and finite")
         return self.source_fn(scale)
 
 

@@ -51,6 +51,51 @@ def test_unknown_subcommand_exits_2(capsys):
     assert excinfo.value.code == cli.EXIT_USAGE
 
 
+def _usage_error(argv, capsys) -> str:
+    """Parse *argv*; it must exit 2 before any work, and the message
+    is the last line of stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "fig3"],
+        ["verify-paper"],
+        ["simulate", "compress"],
+        ["perf"],
+        ["scenarios", "sweep"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_bad_scale_exits_2(argv, bad, capsys):
+    line = _usage_error([*argv, "--scale", bad], capsys)
+    assert "argument --scale: scale must be" in line
+
+
+@pytest.mark.parametrize("bad", ["0", "-2", "x", "1.5"])
+@pytest.mark.parametrize("command", ["run", "verify-paper"])
+def test_bad_jobs_exits_2(command, bad, capsys):
+    argv = [command, "fig3"] if command == "run" else [command]
+    line = _usage_error([*argv, "--jobs", bad], capsys)
+    assert "argument --jobs" in line and ">= 1" in line
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "inf"])
+def test_verify_paper_bad_bench_scale_env_exits_2(monkeypatch, bad, capsys):
+    monkeypatch.setenv("REPRO_BENCH_SCALE", bad)
+    assert main(["verify-paper"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [err.strip()]
+    assert "REPRO_BENCH_SCALE" in err
+
+
 def test_verify_paper_unknown_benchmark_exits_2(capsys):
     rc = main(["verify-paper", "--benchmarks", "nonesuch"])
     assert rc == cli.EXIT_USAGE

@@ -248,33 +248,37 @@ class TestParallelExecution:
 
 class TestTraceGroupedDistribution:
     def test_effective_single_worker_runs_in_process(self, monkeypatch):
-        """jobs=2 with a single work item: the effective worker count
-        is 1, so no pool may be created — spawning a ProcessPoolExecutor
-        just to feed one worker only adds pickling and fork latency."""
+        """jobs=2 with a single trace group: no pool may be created —
+        spawning a ProcessPoolExecutor just to feed one worker only adds
+        pickling and fork latency — and the results match a serial
+        run's."""
         import repro.engine.executor as executor
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("single effective worker must not spawn")
+            raise AssertionError("single trace group must not spawn")
 
         monkeypatch.setattr(executor, "ProcessPoolExecutor", boom)
-        pair = Toolchain().compile(SUITE["compress"].source(SCALE), "compress")
-        spec = RunSpec("compress", "conventional", MachineConfig())
-        small = RunSpec(
-            "compress", "conventional", MachineConfig().with_icache_kb(16)
-        )
-        captured = capture_run(pair.conventional, spec.isa, spec.config)
-
-        [(specs, payloads, snap)] = executor.execute_parallel_groups(
-            [(captured, [spec, small])], 2, False
-        )
-        assert specs == [spec, small] and snap is None
-        assert all(isinstance(r, SimResult) for r, _ in payloads)
-        assert all(report is None for _, report in payloads)
-        want = [
-            dataclasses.asdict(replay_captured(captured, s.config))
-            for s in (spec, small)
+        specs = [
+            RunSpec("compress", "conventional", MachineConfig()),
+            RunSpec(
+                "compress", "conventional", MachineConfig().with_icache_kb(16)
+            ),
         ]
-        assert [dataclasses.asdict(r) for r, _ in payloads] == want
+        plan = build_plan([("sweep", specs)], scale=SCALE)
+        tel = Telemetry()
+        parallel = ExperimentEngine(
+            scale=SCALE, benchmarks=["compress"], jobs=2, telemetry=tel
+        )
+        got = parallel.execute(plan)
+        want = ExperimentEngine(scale=SCALE, benchmarks=["compress"]).execute(
+            plan
+        )
+        for spec in specs:
+            assert dataclasses.asdict(got[spec]) == dataclasses.asdict(
+                want[spec]
+            ), spec
+        assert tel.metrics.get("plan.sweep_groups") == 1
+        assert tel.metrics.get("plan.trace_ship_bytes") is None
 
     def test_pool_grouped_results_and_counters_match_serial(self):
         """fig6+fig7 on one benchmark: two (trace, config-group) work
@@ -307,6 +311,40 @@ class TestTraceGroupedDistribution:
         )
         assert tel.metrics.get("plan.trace_ship_bytes") == shipped
         assert serial_tel.metrics.get("plan.trace_ship_bytes") is None
+
+
+class TestOneReplayPath:
+    def test_single_run_serial_and_pool_plans_agree(self):
+        """A single run of a fresh spec, a serial plan and a jobs=2 plan
+        replay through the same function: asdict-equal results and
+        equal InsightReports. The single run is a one-spec trace group,
+        counted like any other."""
+        specs = EXPERIMENT_RUNS["fig3"](["compress"])
+        plan = build_plan([("fig3", specs)], scale=SCALE)
+
+        def engine(jobs, tel=None):
+            return ExperimentEngine(
+                scale=SCALE, benchmarks=["compress"], jobs=jobs,
+                insight=True, telemetry=tel,
+            )
+
+        serial = engine(1)
+        serial.execute(plan)
+        pool_tel = Telemetry()
+        pool = engine(2, pool_tel)
+        pool.execute(plan)
+        assert pool_tel.metrics.get("plan.trace_ship_bytes") > 0
+        for spec in plan.runs:
+            tel = Telemetry()
+            single = engine(1, tel)
+            want = dataclasses.asdict(single.run(spec))
+            assert tel.metrics.get("plan.sweep_groups") == 1
+            assert tel.metrics.get("sweep.configs_batched") == 1
+            assert dataclasses.asdict(serial.run(spec)) == want, spec
+            assert dataclasses.asdict(pool.run(spec)) == want, spec
+            report = single.insights[spec]
+            assert serial.insights[spec] == report, spec
+            assert pool.insights[spec] == report, spec
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +454,13 @@ class TestPickleSafety:
         assert thawed.block.num_blocks == pair.block.num_blocks
         assert thawed.conventional.code_bytes == pair.conventional.code_bytes
 
-        from repro.engine import simulate_spec
-        from repro.obs.telemetry import get_telemetry
-
-        spec = RunSpec("compress", "block", MachineConfig())
-        direct = simulate_spec(pair.block, spec, get_telemetry())
-        revived = simulate_spec(thawed.block, spec, get_telemetry())
+        config = MachineConfig()
+        direct = replay_captured(
+            capture_run(pair.block, "block", config), config
+        )
+        revived = replay_captured(
+            capture_run(thawed.block, "block", config), config
+        )
         assert dataclasses.asdict(
             pickle.loads(pickle.dumps(direct))
         ) == dataclasses.asdict(revived)

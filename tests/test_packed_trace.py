@@ -15,7 +15,13 @@ import pytest
 
 from repro.check import generate_program
 from repro.core.toolchain import Toolchain
-from repro.engine import ArtifactCache, ExperimentEngine, RunSpec, build_plan
+from repro.engine import (
+    ArtifactCache,
+    ExperimentEngine,
+    RunSpec,
+    build_plan,
+    replay_group,
+)
 from repro.engine.spec import trace_key
 from repro.errors import SimulationError
 from repro.exec import block as block_exec
@@ -23,7 +29,7 @@ from repro.exec.block import BlockExecutor
 from repro.exec.conventional import ConventionalExecutor
 from repro.exec.trace import DynOp, FetchUnit
 from repro.harness import EXPERIMENT_RUNS, SuiteRunner
-from repro.obs import Telemetry
+from repro.obs import Telemetry, get_telemetry
 from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
@@ -33,7 +39,6 @@ from repro.sim.run import (
     derive_perfect_bp,
     predictor_key,
     replay_captured,
-    replay_sweep,
 )
 from repro.workloads import SUITE
 
@@ -425,9 +430,15 @@ class TestDerivedPrep:
                 groups.reverse()
             for run, group in groups:
                 if batched:
-                    results = replay_sweep(
-                        run, list(group.values()), kernel="numpy"
-                    )
+                    specs = [
+                        RunSpec(name, "conventional", config)
+                        for config in group.values()
+                    ]
+                    results = [
+                        result for result, _ in replay_group(
+                            run, specs, get_telemetry(), kernel="numpy"
+                        )
+                    ]
                 else:
                     results = [
                         replay_captured(run, config, kernel="numpy")

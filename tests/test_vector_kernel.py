@@ -15,16 +15,17 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import sys
+import types
 
 import pytest
 
 from repro.core.toolchain import Toolchain
-from repro.engine import build_plan
+from repro.engine import RunSpec, build_plan, replay_group
 from repro.errors import SimulationError
 from repro.exec.trace import DynOp, FetchUnit
 from repro.harness import EXPERIMENT_RUNS, SuiteRunner
 from repro.insight import InsightCollector
-from repro.obs import Telemetry
+from repro.obs import Telemetry, get_telemetry
 from repro.sim import vector
 from repro.sim.cache import Cache
 from repro.sim.config import CacheConfig, MachineConfig
@@ -36,7 +37,6 @@ from repro.sim.run import (
     predictor_key,
     prepare_sweep,
     replay_captured,
-    replay_sweep,
 )
 from repro.workloads import SUITE
 
@@ -237,7 +237,7 @@ class TestKernelSelection:
 
     def test_sweep_without_numpy_falls_back_to_grouped_scalar(self):
         """Reload repro.sim.vector with numpy absent: prepare_sweep
-        declines (no shared precompute to run) and replay_sweep still
+        declines (no shared precompute to run) and replay_group still
         replays the whole batch via the scalar path, bit-identical to
         per-config scalar replay."""
         config = MachineConfig()
@@ -245,6 +245,7 @@ class TestKernelSelection:
             _pair("compress").conventional, "conventional", config
         )
         configs = [config.with_icache_kb(None), config.with_icache_kb(16)]
+        specs = [RunSpec("compress", "conventional", c) for c in configs]
         want = [
             dataclasses.asdict(replay_captured(captured, c, kernel="python"))
             for c in configs
@@ -255,8 +256,8 @@ class TestKernelSelection:
             importlib.reload(vector)
             assert not vector.HAVE_NUMPY
             assert prepare_sweep(captured, configs) == 0
-            got = replay_sweep(captured, configs)  # kernel="auto"
-            assert [dataclasses.asdict(r) for r in got] == want
+            got = replay_group(captured, specs, get_telemetry())  # "auto"
+            assert [dataclasses.asdict(r) for r, _ in got] == want
         finally:
             if saved is None:
                 del sys.modules["numpy"]
@@ -320,15 +321,17 @@ class TestPrimitiveProperties:
     @settings(max_examples=60)
     def test_lru_hits_matches_the_real_cache(self, lines, num_sets, assoc):
         """The hit/miss vector (stack distance below the associativity)
-        must agree access-by-access with the scalar Cache model the
-        engine uses."""
+        of the kernel's ``_geom_distances`` — its floor shortcut
+        included — must agree access-by-access with the scalar Cache
+        model the engine uses, and so must the listwise oracle."""
         line_bytes = 64
         cache = Cache(
             CacheConfig(num_sets * assoc * line_bytes, assoc, line_bytes)
         )
         want = [cache.access_line(line) for line in lines]
-        got = vector.stack_distances(lines, num_sets, assoc) < assoc
+        got = _geom_hits(lines, num_sets, assoc)
         assert got.tolist() == want
+        assert lru_hits_listwise(lines, num_sets, assoc).tolist() == want
         assert cache.accesses == len(lines)
         assert cache.misses == len(lines) - int(got.sum())
 
@@ -361,8 +364,8 @@ class TestPrimitiveProperties:
 
 def lru_hits_listwise(lines, num_sets, assoc):
     """The per-geometry move-to-front LRU pass: the oracle for
-    ``vector.stack_distances`` and ``vector._geom_distances``, itself
-    cross-checked against the real :class:`~repro.sim.cache.Cache`."""
+    ``vector._geom_distances``, itself cross-checked against the real
+    :class:`~repro.sim.cache.Cache`."""
     lines = np.asarray(lines, dtype=np.int64)
     n = len(lines)
     hits = np.zeros(n, dtype=bool)
@@ -393,12 +396,23 @@ def lru_hits_listwise(lines, num_sets, assoc):
     return hits
 
 
+def _geom_hits(lines, num_sets, assoc, fake=None):
+    """``vector._geom_distances(...) < assoc`` over *lines* on a
+    trace stand-in (*fake*, or a fresh one with an empty prep cache)."""
+    if fake is None:
+        fake = types.SimpleNamespace(_vprep={})
+    arr = np.array(lines, dtype=np.int64)
+    dist = vector._geom_distances(fake, "icdist", arr, 64, num_sets, assoc)
+    return dist < assoc
+
+
 @needs_numpy
 class TestStackDistances:
-    """The all-associativity primitive the sweep precompute rests on,
-    cross-checked against the listwise move-to-front oracle and the
-    real Cache across a (num_sets, assoc) matrix — including assoc=1
-    (direct-mapped sets) and num_sets=1 (fully associative)."""
+    """The all-associativity primitive the sweep precompute rests on
+    (``vector._geom_distances``: the move-to-front walk, or the
+    never-evict floor shortcut), cross-checked against the listwise
+    move-to-front oracle across a (num_sets, assoc) matrix — including
+    assoc=1 (direct-mapped sets) and num_sets=1 (fully associative)."""
 
     @given(
         lines=st.lists(st.integers(0, 20), min_size=0, max_size=80),
@@ -410,31 +424,19 @@ class TestStackDistances:
         self, lines, num_sets, max_assoc
     ):
         """dist saturated at cap C classifies hits exactly for every
-        assoc <= C: dist < assoc iff the per-assoc oracle hits."""
-        dist = vector.stack_distances(lines, num_sets, max_assoc)
+        assoc <= C: a walked vector serves every smaller assoc as it
+        is, and one from the floor shortcut is recomputed below its
+        floor. Each request's hits equal the per-assoc oracle's."""
+        fake = types.SimpleNamespace(_vprep={})
+        _geom_hits(lines, num_sets, max_assoc, fake)
+        key = ("icdist", 64, num_sets)
+        primed = fake._vprep[key]
         for assoc in range(1, max_assoc + 1):
             want = lru_hits_listwise(lines, num_sets, assoc)
-            assert (dist < assoc).tolist() == want.tolist(), assoc
-
-    @given(
-        lines=st.lists(st.integers(0, 20), min_size=0, max_size=80),
-        num_sets=st.sampled_from([1, 2, 4]),
-        assoc=st.integers(1, 4),
-    )
-    @settings(max_examples=60)
-    def test_distances_agree_with_the_real_cache(
-        self, lines, num_sets, assoc
-    ):
-        line_bytes = 64
-        cache = Cache(
-            CacheConfig(num_sets * assoc * line_bytes, assoc, line_bytes)
-        )
-        want = [cache.access_line(line) for line in lines]
-        dist = vector.stack_distances(lines, num_sets, assoc)
-        assert (dist < assoc).tolist() == want
-        assert lru_hits_listwise(
-            lines, num_sets, assoc
-        ).tolist() == want
+            got = _geom_hits(lines, num_sets, assoc, fake)
+            assert got.tolist() == want.tolist(), assoc
+            if primed[2] == 0:  # walked, no floor recorded
+                assert fake._vprep[key] is primed, assoc
 
     @given(
         lines=st.lists(st.integers(0, 12), min_size=0, max_size=60),
@@ -449,23 +451,18 @@ class TestStackDistances:
         floor-guarded synthesized never-evict vectors) must classify
         exactly like the oracle for every queried associativity, in any
         query order."""
-        import types
-
         fake = types.SimpleNamespace(_vprep={})
-        arr = np.array(lines, dtype=np.int64)
         for assoc in assocs:
-            dist = vector._geom_distances(
-                fake, "icdist", arr, 64, num_sets, assoc
-            )
+            got = _geom_hits(lines, num_sets, assoc, fake)
             want = lru_hits_listwise(lines, num_sets, assoc)
-            assert (dist < assoc).tolist() == want.tolist(), assoc
+            assert got.tolist() == want.tolist(), assoc
 
 
 @needs_numpy
 class TestSweepBatchedReplay:
     def test_sweep_groups_match_per_config_and_scalar(self):
         """Three-way over every EXPERIMENT_RUNS trace group (the fig6/
-        fig7 icache sweeps included): batched replay_sweep vs cold
+        fig7 icache sweeps included): batched replay_group vs cold
         one-at-a-time replay vs the scalar replayer — asdict-equal
         SimResults and identical InsightReports, no tolerance."""
         groups: dict = {}
@@ -475,12 +472,11 @@ class TestSweepBatchedReplay:
         for (bench, isa, _), specs in groups.items():
             prog = getattr(_pair(bench), isa)
             captured = capture_run(prog, isa, specs[0].config)
-            configs = [spec.config for spec in specs]
-            sweep_ins = [InsightCollector() for _ in specs]
-            swept = replay_sweep(
-                captured, configs, insights=sweep_ins, kernel="numpy"
+            swept = replay_group(
+                captured, specs, get_telemetry(),
+                collect_insight=True, kernel="numpy",
             )
-            for spec, batched, b_ins in zip(specs, swept, sweep_ins):
+            for spec, (batched, b_report) in zip(specs, swept):
                 p_ins = InsightCollector()
                 single = replay_captured(
                     _cold(captured), spec.config, insight=p_ins,
@@ -495,7 +491,7 @@ class TestSweepBatchedReplay:
                 assert dataclasses.asdict(batched) == want, spec
                 report = s_ins.report(bench, isa, spec.config)
                 assert p_ins.report(bench, isa, spec.config) == report, spec
-                assert b_ins.report(bench, isa, spec.config) == report, spec
+                assert b_report == report, spec
 
     @pytest.mark.parametrize("fu_count", [2, 16])
     def test_batched_spines_stay_exact_when_fus_bind(self, fu_count):
@@ -507,7 +503,12 @@ class TestSweepBatchedReplay:
         configs = [base.with_icache_kb(kb) for kb in (None, 16, 64)]
         for isa in ("conventional", "block"):
             captured = capture_run(getattr(_pair("compress"), isa), isa, base)
-            swept = replay_sweep(captured, configs, kernel="numpy")
+            specs = [RunSpec("compress", isa, c) for c in configs]
+            swept = [
+                result for result, _ in replay_group(
+                    captured, specs, get_telemetry(), kernel="numpy"
+                )
+            ]
             tel = Telemetry()
             warm = [
                 replay_captured(
@@ -538,14 +539,6 @@ class TestSweepBatchedReplay:
         tel = Telemetry()
         assert prepare_sweep(captured, configs, telemetry=tel) > 0
         assert tel.metrics.get("sweep.configs_batched") == 4
-
-    def test_sweep_insight_length_mismatch_is_rejected(self):
-        config = MachineConfig()
-        captured = capture_run(
-            _pair("compress").conventional, "conventional", config
-        )
-        with pytest.raises(SimulationError, match="insight collectors"):
-            replay_sweep(captured, [config], insights=[None, None])
 
 
 # ---------------------------------------------------------------------------

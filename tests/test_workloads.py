@@ -57,8 +57,9 @@ def test_workload_scale_changes_work(name):
 
 
 def test_scale_must_be_positive():
-    with pytest.raises(ValueError):
-        SUITE["compress"].source(0)
+    for bad in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SUITE["compress"].source(bad)
 
 
 @pytest.mark.parametrize("name", list(SUITE))
