@@ -9,10 +9,15 @@ results instead of re-simulating. The workload scale defaults to a
 reduced 0.35 so the full benchmark suite runs in minutes; set
 ``REPRO_BENCH_SCALE=1.0`` for the EXPERIMENTS.md numbers.
 
-Environment knobs:
+Environment knobs (a bad value fails with a ``ConfigError`` naming
+the variable):
 
+``REPRO_BENCH_SCALE``
+    Workload scale, a positive finite number (default 0.35); the same
+    variable and default ``bsisa verify-paper`` reads.
 ``REPRO_BENCH_JOBS``
-    Process-parallel plan execution width (default 1 = serial).
+    Process-parallel plan execution width, an integer >= 1 (default 1 =
+    serial).
 ``REPRO_BENCH_CACHE_DIR``
     Enables the on-disk artifact cache at the given directory, so
     repeated benchmark sessions skip unchanged compiles and runs.
@@ -27,14 +32,17 @@ import pytest
 from repro.engine import ArtifactCache
 from repro.fidelity import Claim, evaluate_claim
 from repro.harness import ALL_EXPERIMENTS, SuiteRunner
+from repro.harness.cli import default_verify_scale, parse_jobs
 
 
 def bench_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
+    return default_verify_scale()
 
 
 def bench_jobs() -> int:
-    return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
+    return parse_jobs(
+        os.environ.get("REPRO_BENCH_JOBS", "1"), "REPRO_BENCH_JOBS"
+    )
 
 
 def bench_cache() -> ArtifactCache | None:

@@ -3,11 +3,15 @@
 One :class:`ExperimentEngine` owns every artifact of an experiment
 session:
 
-* **compiles** — each benchmark is compiled at most once per session
+* **compiles** — each program is compiled at most once per session
   (and at most once *ever* for unchanged source/toolchain when an
-  :class:`~repro.engine.cache.ArtifactCache` is attached);
+  :class:`~repro.engine.cache.ArtifactCache` is attached). A program is
+  a registered workload at the engine's scale, or the MiniC text a
+  :class:`~repro.engine.spec.RunSpec` carries as ``source`` (synthesis
+  attempts, sweep cells); memos are keyed by *(name, source)*, disk
+  keys by the source text itself;
 * **traces** — the functional executor runs at most once per
-  *(benchmark, isa, predictor-config)* group per session: the packed
+  *(program, isa, predictor-config)* group per session: the packed
   fetch-unit stream (:class:`~repro.sim.run.CapturedRun`) is memoized
   by :func:`~repro.sim.run.predictor_key` and disk-cached by
   :func:`~repro.engine.spec.trace_key`, then *replayed* for every
@@ -96,10 +100,12 @@ class ExperimentEngine:
         #: so cached results are kernel-independent.
         self.kernel = kernel
         self._sources: dict[str, str] = {}
-        self._pairs: dict[str, CompiledPair] = {}
-        self._compile_keys: dict[str, str] = {}
+        #: keyed by program, *(name, source)*, so two programs under
+        #: one name never share an entry
+        self._pairs: dict[tuple[str, str | None], CompiledPair] = {}
+        self._compile_keys: dict[tuple[str, str | None], str] = {}
         self._results: dict[RunSpec, SimResult] = {}
-        self._traces: dict[tuple[str, str, tuple], CapturedRun] = {}
+        self._traces: dict[tuple, CapturedRun] = {}
         self._insights: dict[RunSpec, InsightReport] = {}
 
     # -- session state -------------------------------------------------
@@ -117,65 +123,86 @@ class ExperimentEngine:
         """Every InsightReport collected this session (insight mode)."""
         return dict(self._insights)
 
-    def _source(self, name: str) -> str:
+    def _source(self, name: str, source: str | None = None) -> str:
+        if source is not None:
+            return source
         if name not in self._sources:
             # get_workload (not SUITE) so registered scenario
             # families flow through RunSpec/cache/replay unchanged
             self._sources[name] = get_workload(name).source(self.scale)
         return self._sources[name]
 
-    def _compile_key(self, name: str) -> str | None:
-        """Disk-cache key for *name*'s compile, or None if uncacheable."""
+    def _compile_key(self, name: str, source: str | None = None) -> str | None:
+        """Disk-cache key of the compile of *name* (its registered
+        source, or *source*), or None if uncacheable."""
         if self.cache is None or not self.toolchain_spec.cacheable:
             return None
-        if name not in self._compile_keys:
-            self._compile_keys[name] = compile_key(
-                name, self._source(name), self.toolchain_spec
+        if (name, source) not in self._compile_keys:
+            self._compile_keys[name, source] = compile_key(
+                name, self._source(name, source), self.toolchain_spec
             )
-        return self._compile_keys[name]
+        return self._compile_keys[name, source]
+
+    def _key(self, kind: str, spec: RunSpec) -> str | None:
+        """Disk-cache key of *spec*'s ``trace``, ``run`` or ``insight``
+        artifact, or None if uncacheable."""
+        ckey = self._compile_key(spec.benchmark, spec.source)
+        if ckey is None:
+            return None
+        if kind == "trace":
+            return trace_key(ckey, spec.isa, spec.config)
+        if kind == "run":
+            return run_key(ckey, spec)
+        return insight_key(ckey, spec)
+
+    def _load(self, kind: str, key: str | None):
+        """The artifact cached under *key* (None on a miss or when
+        uncacheable), counted as a ``plan.cache_hits``/``misses`` of
+        *kind*."""
+        if key is None:
+            return None
+        value = self.cache.load(key)
+        outcome = "plan.cache_misses" if value is None else "plan.cache_hits"
+        self._tel().count(outcome, kind=kind)
+        return value
+
+    def _save(self, key: str | None, value) -> None:
+        if key is not None:
+            self.cache.store(key, value)
 
     # -- compiles ------------------------------------------------------
 
-    def compiled(self, name: str) -> CompiledPair:
-        if name in self._pairs:
-            return self._pairs[name]
-        tel = self._tel()
-        ckey = self._compile_key(name)
-        if ckey is not None:
-            pair = self.cache.load(ckey)
-            if pair is not None:
-                tel.count("plan.cache_hits", kind="compile")
-                self._pairs[name] = pair
-                return pair
-            tel.count("plan.cache_misses", kind="compile")
-        with tel.span("suite.compile", benchmark=name):
-            pair = self.toolchain.compile(self._source(name), name)
-        if ckey is not None:
-            self.cache.store(ckey, pair)
-        self._pairs[name] = pair
-        return pair
+    def compiled(self, name: str, source: str | None = None) -> CompiledPair:
+        """The compiled pair of *name*: its registered workload at the
+        engine's scale, or the MiniC *source* when given."""
+        memo = (name, source)
+        if memo not in self._pairs:
+            ckey = self._compile_key(name, source)
+            pair = self._load("compile", ckey)
+            if pair is None:
+                with self._tel().span("suite.compile", benchmark=name):
+                    pair = self.toolchain.compile(
+                        self._source(name, source), name
+                    )
+                self._save(ckey, pair)
+            self._pairs[memo] = pair
+        return self._pairs[memo]
 
     # -- captured traces -----------------------------------------------
-
-    def _trace_key(self, spec: RunSpec) -> str | None:
-        ckey = self._compile_key(spec.benchmark)
-        if ckey is None:
-            return None
-        return trace_key(ckey, spec.isa, spec.config)
 
     def captured_run(self, spec: RunSpec) -> CapturedRun:
         """The packed trace serving *spec*: memo → disk cache → capture.
 
-        The memo key is *(benchmark, isa, predictor_key(config))* — one
-        functional execution serves every machine config of an icache /
-        latency / window sweep. A conventional perfect-prediction trace
-        is never captured or cached on its own: it is derived
-        (:func:`~repro.sim.run.derive_perfect_bp`) from the
-        real-prediction trace of the same predictor geometry, which
-        comes through these same tiers and is counted by the one that
-        served it.
+        The memo key is *(benchmark, source, isa, predictor_key(config))*
+        — one functional execution serves every machine config of an
+        icache / latency / window sweep. A conventional
+        perfect-prediction trace is never captured or cached on its
+        own: it is derived (:func:`~repro.sim.run.derive_perfect_bp`)
+        from the real-prediction trace of the same predictor geometry,
+        which comes through these same tiers and is counted by the one
+        that served it.
         """
-        memo = (spec.benchmark, spec.isa, predictor_key(spec.config))
+        memo = _trace_memo(spec)
         tel = self._tel()
         if memo in self._traces:
             tel.count("plan.trace_reuse")
@@ -183,69 +210,20 @@ class ExperimentEngine:
         if spec.isa == "conventional" and spec.config.perfect_bp:
             real = replace(spec, config=spec.config.with_perfect_bp(False))
             captured = derive_perfect_bp(self.captured_run(real))
-            self._traces[memo] = captured
-            return captured
-        tkey = self._trace_key(spec)
-        if tkey is not None:
-            captured = self.cache.load(tkey)
-            if captured is not None:
-                tel.count("plan.cache_hits", kind="trace")
-                self._traces[memo] = captured
-                return captured
-            tel.count("plan.cache_misses", kind="trace")
-        program = getattr(self.compiled(spec.benchmark), spec.isa)
-        captured = capture_run(program, spec.isa, spec.config, tel)
-        tel.count("plan.trace_captures")
-        if tkey is not None:
-            self.cache.store(tkey, captured)
+        else:
+            tkey = self._key("trace", spec)
+            captured = self._load("trace", tkey)
+            if captured is None:
+                pair = self.compiled(spec.benchmark, spec.source)
+                captured = capture_run(
+                    getattr(pair, spec.isa), spec.isa, spec.config, tel
+                )
+                tel.count("plan.trace_captures")
+                self._save(tkey, captured)
         self._traces[memo] = captured
         return captured
 
     # -- single runs (serial path / facade API) ------------------------
-
-    def _run_key(self, spec: RunSpec) -> str | None:
-        ckey = self._compile_key(spec.benchmark)
-        return run_key(ckey, spec) if ckey is not None else None
-
-    def _load_cached_run(self, spec: RunSpec) -> SimResult | None:
-        rkey = self._run_key(spec)
-        if rkey is None:
-            return None
-        result = self.cache.load(rkey)
-        tel = self._tel()
-        if result is not None:
-            tel.count("plan.cache_hits", kind="run")
-        else:
-            tel.count("plan.cache_misses", kind="run")
-        return result
-
-    def _store_cached_run(self, spec: RunSpec, result: SimResult) -> None:
-        rkey = self._run_key(spec)
-        if rkey is not None:
-            self.cache.store(rkey, result)
-
-    def _insight_key(self, spec: RunSpec) -> str | None:
-        ckey = self._compile_key(spec.benchmark)
-        return insight_key(ckey, spec) if ckey is not None else None
-
-    def _load_cached_insight(self, spec: RunSpec) -> InsightReport | None:
-        ikey = self._insight_key(spec)
-        if ikey is None:
-            return None
-        report = self.cache.load(ikey)
-        tel = self._tel()
-        if report is not None:
-            tel.count("plan.cache_hits", kind="insight")
-        else:
-            tel.count("plan.cache_misses", kind="insight")
-        return report
-
-    def _store_cached_insight(
-        self, spec: RunSpec, report: InsightReport
-    ) -> None:
-        ikey = self._insight_key(spec)
-        if ikey is not None:
-            self.cache.store(ikey, report)
 
     def run(self, spec: RunSpec) -> SimResult:
         """One simulation: :meth:`execute`'s memo → disk cache →
@@ -283,11 +261,11 @@ class ExperimentEngine:
         missing: list[RunSpec] = []
         for spec in specs:
             if spec not in self._results:
-                cached = self._load_cached_run(spec)
+                cached = self._load("run", self._key("run", spec))
                 if cached is not None:
                     self._results[spec] = cached
             if self.insight and spec not in self._insights:
-                report = self._load_cached_insight(spec)
+                report = self._load("insight", self._key("insight", spec))
                 if report is not None:
                     self._insights[spec] = report
             if spec not in self._results or (
@@ -318,7 +296,7 @@ class ExperimentEngine:
     def _sweep_groups(self, missing: list[RunSpec]) -> list[list[RunSpec]]:
         """Partition *missing* into trace-sharing config groups.
 
-        Group key = the trace memo key *(benchmark, isa,
+        Group key = the trace memo key *(benchmark, source, isa,
         predictor_key(config))*: every spec of a group replays the same
         :class:`CapturedRun`, so its precompute is amortized
         (:func:`~repro.engine.executor.replay_group`) and — in pool
@@ -327,8 +305,7 @@ class ExperimentEngine:
         """
         groups: dict[tuple, list[RunSpec]] = {}
         for spec in missing:
-            memo = (spec.benchmark, spec.isa, predictor_key(spec.config))
-            groups.setdefault(memo, []).append(spec)
+            groups.setdefault(_trace_memo(spec), []).append(spec)
         return list(groups.values())
 
     def _capture_group(
@@ -345,8 +322,13 @@ class ExperimentEngine:
         """Memoize and disk-cache one group's replayed payloads."""
         for spec, (result, report) in zip(specs, payloads):
             tel.count("plan.trace_replays")
-            self._store_cached_run(spec, result)
+            self._save(self._key("run", spec), result)
             self._results[spec] = result
             if report is not None:
-                self._store_cached_insight(spec, report)
+                self._save(self._key("insight", spec), report)
                 self._insights[spec] = report
+
+
+def _trace_memo(spec: RunSpec) -> tuple:
+    """The identity of the trace *spec* replays."""
+    return (spec.benchmark, spec.source, spec.isa, predictor_key(spec.config))

@@ -1,7 +1,8 @@
 """Run/compile specifications and their canonical cache keys.
 
 A :class:`RunSpec` names one simulation — *(benchmark, isa, machine
-config)* — declaratively, so experiments can state the runs they need
+config)*, plus the program's source text when it is not the registered
+workload — declaratively, so experiments can state the runs they need
 up front instead of performing them imperatively. Specs are frozen and
 hashable over the **entire** :class:`MachineConfig`, which makes them
 the deduplication unit of a :class:`~repro.engine.plan.RunPlan` and the
@@ -43,6 +44,10 @@ class RunSpec:
     benchmark: str
     isa: str
     config: MachineConfig = field(default_factory=MachineConfig)
+    #: the MiniC text, when the program is not the registered workload
+    #: *benchmark* at the engine's scale (a synthesis attempt, a sweep
+    #: cell); part of the run's identity, never of its labels
+    source: str | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.isa not in ISAS:

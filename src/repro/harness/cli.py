@@ -53,7 +53,7 @@ import os
 import sys
 
 from repro.core.toolchain import Toolchain
-from repro.engine import ArtifactCache
+from repro.engine import ArtifactCache, ExperimentEngine, RunSpec
 from repro.errors import ConfigError
 from repro.harness.experiments import ALL_EXPERIMENTS, SuiteRunner
 from repro.obs import Telemetry
@@ -102,17 +102,24 @@ def _scale_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _jobs_arg(text: str) -> int:
-    """argparse type of every ``--jobs``: an integer of at least 1."""
+def parse_jobs(raw: str, what: str) -> int:
+    """*raw* as a worker count: an integer of at least 1, else a
+    :class:`ConfigError` naming *what*."""
     try:
-        jobs = int(text)
+        jobs = int(raw)
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"jobs must be an integer >= 1, got {text!r}"
-        )
+        raise ConfigError(f"{what} must be an integer >= 1, got {raw!r}")
     return jobs
+
+
+def _jobs_arg(text: str) -> int:
+    """argparse type of every ``--jobs``: an integer of at least 1."""
+    try:
+        return parse_jobs(text, "jobs")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _kernel_usage_error(args) -> bool:
@@ -328,8 +335,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    workload = get_workload(args.workload)
-    pair = Toolchain().compile(workload.source(args.scale), args.workload)
+    pair = ExperimentEngine(scale=args.scale).compiled(args.workload)
     conv, block = pair.conventional, pair.block
     print(
         f"{args.workload}: conventional {len(conv.ops)} ops "
@@ -492,12 +498,7 @@ def _cmd_perf(args) -> int:
 def _cmd_analyze(args) -> int:
     """CPI stack + fetch-rate histogram per benchmark × ISA."""
     from repro.check import check_invariants
-    from repro.insight import (
-        InsightCollector,
-        build_document,
-        render_report,
-        write_document,
-    )
+    from repro.insight import build_document, render_report, write_document
 
     unknown = [b for b in args.benchmark if b not in SUITE]
     if unknown:
@@ -507,31 +508,21 @@ def _cmd_analyze(args) -> int:
         ("conventional", "block") if args.isa == "both" else (args.isa,)
     )
     tel = _make_telemetry(args)
-    toolchain = Toolchain(telemetry=tel)
+    engine = ExperimentEngine(scale=args.scale, telemetry=tel, insight=True)
     config = MachineConfig(perfect_bp=args.perfect_bp).with_icache_kb(
         args.icache_kb
     )
-    simulate = {
-        "conventional": simulate_conventional,
-        "block": simulate_block_structured,
-    }
     reports = []
     broken: list[str] = []
     for benchmark in args.benchmark:
-        pair = toolchain.compile(SUITE[benchmark].source(args.scale), benchmark)
-        programs = {"conventional": pair.conventional, "block": pair.block}
         for isa in isas:
-            collector = InsightCollector()
-            result = simulate[isa](
-                programs[isa], config, telemetry=tel, insight=collector
-            )
-            report = collector.report(benchmark, isa, config)
+            spec = RunSpec(benchmark, isa, config)
+            result = engine.run(spec)
+            report = engine.insights[spec]
             violations = check_invariants(result, config, insight=report)
             for v in violations:
                 broken.append(f"{benchmark}/{isa}: {v.invariant}: {v.detail}")
             reports.append(report)
-            if tel is not None:
-                report.publish(tel.metrics)
             print(render_report(report))
             print()
     if args.output:
@@ -582,17 +573,12 @@ def _cmd_timeline(args) -> int:
     from repro.insight import build_timeline, render_timeline
 
     tel = Telemetry(trace_capacity=args.capacity)
-    workload = get_workload(args.workload)
-    pair = Toolchain(telemetry=tel).compile(
-        workload.source(args.scale), args.workload
-    )
     config = MachineConfig(perfect_bp=args.perfect_bp).with_icache_kb(
         args.icache_kb
     )
-    if args.isa == "block":
-        simulate_block_structured(pair.block, config, telemetry=tel)
-    else:
-        simulate_conventional(pair.conventional, config, telemetry=tel)
+    ExperimentEngine(scale=args.scale, telemetry=tel).run(
+        RunSpec(args.workload, args.isa, config)
+    )
     rows = build_timeline(tel.trace.events())
     print(
         f"{args.workload}/{args.isa}: per-cycle occupancy from the last "

@@ -43,7 +43,7 @@ import dataclasses
 import json
 from time import perf_counter
 
-from repro.core.toolchain import Toolchain
+from repro.engine.core import ExperimentEngine
 from repro.engine.executor import replay_group
 from repro.engine.spec import RunSpec
 from repro.fidelity.paper import ICACHE_SWEEP_KB
@@ -52,8 +52,7 @@ from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
-from repro.sim.run import capture_run, replay_captured
-from repro.workloads import SUITE
+from repro.sim.run import replay_captured
 
 ISAS = ("conventional", "block")
 
@@ -74,21 +73,22 @@ def benchmark_one(
     telemetry: Telemetry | None = None,
     kernel: str = "auto",
 ) -> list[dict]:
-    """Capture/replay/vector/sweep timings for one benchmark, both ISAs."""
+    """Capture/replay/vector/sweep timings for one benchmark, both ISAs;
+    a fresh engine compiles (source text included) and captures cold."""
     config = config or MachineConfig()
     tel = telemetry if telemetry is not None else get_telemetry()
     time_vector = kernel != "python" and vector.HAVE_NUMPY
-    source = SUITE[benchmark].source(scale)
+    engine = ExperimentEngine(scale=scale)
     start = perf_counter()
-    pair = Toolchain().compile(source, benchmark)
+    engine.compiled(benchmark)
     compile_s = perf_counter() - start
     entries = []
     for isa in ISAS:
-        program = getattr(pair, isa)
         labels = {"benchmark": benchmark, "isa": isa}
         captured, capture_s = _timed(
             tel, "perf.capture",
-            lambda: capture_run(program, isa, config), **labels
+            lambda: engine.captured_run(RunSpec(benchmark, isa, config)),
+            **labels
         )
         replayed, replay_s = _timed(
             tel, "perf.replay",

@@ -3,7 +3,8 @@
 A span records wall-clock duration (``time.perf_counter``) plus a name,
 optional labels, and its nesting depth. The recorder is bounded: past
 ``capacity`` records the oldest are dropped (FIFO) and counted, so a
-pathological compile cannot grow memory without bound.
+pathological compile cannot grow memory without bound. Per-name totals
+are kept as spans are recorded, so they stay exact when records drop.
 
 The disabled fast path lives in :mod:`repro.obs.telemetry`, which hands
 out a shared no-op context manager without touching the clock.
@@ -98,6 +99,7 @@ class SpanRecorder:
         self.epoch = perf_counter()
         self.records: deque[SpanRecord] = deque(maxlen=capacity)
         self.recorded = 0
+        self._totals: dict[str, dict] = {}
         self._depth = 0
 
     def span(self, name: str, labels: dict | None = None) -> Span:
@@ -106,6 +108,12 @@ class SpanRecorder:
     def _record(self, record: SpanRecord) -> None:
         self.recorded += 1
         self.records.append(record)
+        agg = self._totals.setdefault(
+            record.name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
+        )
+        agg["count"] += 1
+        agg["total_s"] += record.duration_s
+        agg["max_s"] = max(agg["max_s"], record.duration_s)
 
     @property
     def dropped(self) -> int:
@@ -128,17 +136,9 @@ class SpanRecorder:
             )
 
     def totals(self) -> dict[str, dict]:
-        """Aggregate by span name: invocation count and summed seconds."""
-        out: dict[str, dict] = {}
-        for record in self.records:
-            agg = out.setdefault(
-                record.name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
-            )
-            agg["count"] += 1
-            agg["total_s"] += record.duration_s
-            if record.duration_s > agg["max_s"]:
-                agg["max_s"] = record.duration_s
-        return out
+        """Aggregate by span name over every span recorded, dropped
+        ones included: invocation count, summed and longest seconds."""
+        return {name: dict(agg) for name, agg in self._totals.items()}
 
     def snapshot(self) -> list[dict]:
         return [r.as_dict() for r in self.records]
@@ -146,6 +146,7 @@ class SpanRecorder:
     def clear(self) -> None:
         self.records.clear()
         self.recorded = 0
+        self._totals.clear()
         self._depth = 0
         self.epoch = perf_counter()
 

@@ -1,11 +1,14 @@
 """Axis-grid sweeps: map where the BS-ISA wins, loses, and crosses over.
 
 For every ``(bb_size, bias, hot_bytes)`` grid cell the sweep
-synthesizes one family, compiles it once per ISA, captures one
-functional run per ISA, and then replays that capture across every
+synthesizes one family on the cell's own
+:class:`~repro.engine.core.ExperimentEngine`, then executes one plan on
+it: one compile, one functional run per ISA, each replayed across every
 icache size through :func:`repro.engine.executor.replay_group` — so
 the machine-axis dimension rides the sweep-batched replay path
-(docs/performance.md) instead of re-simulating.
+(docs/performance.md) instead of re-simulating. At scale 1.0 the cell's
+program is the synthesis attempt it chose, so its compile and
+conventional capture are memo hits.
 
 The result is a schema-versioned ``repro.scenario/v1`` document
 (validated by ``python -m repro.obs.schema``): per-point
@@ -17,15 +20,14 @@ grid points along one axis whose winners are on opposite sides.
 
 from __future__ import annotations
 
-from repro.core.toolchain import Toolchain
-from repro.engine.executor import replay_group
-from repro.engine.spec import RunSpec
+from repro.engine.core import ExperimentEngine
+from repro.engine.plan import build_plan
+from repro.engine.spec import ISAS, RunSpec
 from repro.harness.render import ascii_table
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.scenario.spec import ScenarioSpec
-from repro.scenario.synth import DEFAULT_BUDGET, generate_source, synthesize
+from repro.scenario.synth import DEFAULT_BUDGET, generate_source, search
 from repro.sim.config import MachineConfig
-from repro.sim.run import capture_run
 
 SCENARIO_SCHEMA_ID = "repro.scenario/v1"
 
@@ -58,28 +60,25 @@ def sweep_cell(
     telemetry: Telemetry | None = None,
 ) -> dict:
     """One grid cell: synthesize, capture both ISAs once, replay the
-    icache axis batched."""
+    icache axis batched — all on one engine, so the cell's program
+    reuses the chosen attempt's compile and capture when it is that
+    attempt (at scale 1.0)."""
     tel = telemetry if telemetry is not None else get_telemetry()
-    synth = synthesize(spec, budget)
-    source = generate_source(spec, synth.params, scale)
-    with tel.span("scenario.cell", family=spec.family_name):
-        pair = Toolchain(telemetry=tel).compile(source, spec.family_name)
-        configs = [MachineConfig().with_icache_kb(kb) for kb in icache_kb]
-        results = {}
-        for isa, prog in (
-            ("conventional", pair.conventional),
-            ("block", pair.block),
-        ):
-            captured = capture_run(prog, isa, configs[0], tel)
-            specs = [RunSpec(spec.family_name, isa, c) for c in configs]
-            results[isa] = [
-                result for result, _ in replay_group(
-                    captured, specs, tel, kernel=kernel
-                )
-            ]
+    engine = ExperimentEngine(scale=scale, telemetry=tel, kernel=kernel)
+    name = spec.family_name
+    configs = [MachineConfig().with_icache_kb(kb) for kb in icache_kb]
+    with tel.span("scenario.cell", family=name):
+        synth = search(spec, budget, engine)
+        source = generate_source(spec, synth.params, scale)
+        specs = [
+            RunSpec(name, isa, c, source) for isa in ISAS for c in configs
+        ]
+        results = engine.execute(build_plan([(name, specs)]))
     tel.count("scenario.cells")
     points = []
-    for kb, conv, block in zip(icache_kb, *results.values()):
+    for kb, config in zip(icache_kb, configs):
+        conv = results[RunSpec(name, "conventional", config, source)]
+        block = results[RunSpec(name, "block", config, source)]
         speedup = round(conv.cycles / block.cycles, 4)
         points.append({
             "icache_kb": kb,

@@ -31,7 +31,8 @@ from collections import Counter
 from functools import lru_cache
 
 from repro.check.genprog import GenConfig, ProgramBuilder
-from repro.core.toolchain import Toolchain
+from repro.engine.core import ExperimentEngine
+from repro.engine.spec import RunSpec
 from repro.isa.opcodes import OPCODE_INFO
 from repro.isa.program import LINE_BYTES, OP_BYTES, ConventionalProgram
 from repro.obs.telemetry import Telemetry
@@ -41,8 +42,6 @@ from repro.scenario.spec import (
     SynthParams,
     SynthesisResult,
 )
-from repro.sim.config import MachineConfig
-from repro.sim.run import capture_run
 from repro.workloads.base import RNG_FILL, iterations
 
 #: fraction of dynamic fetch mass the hot-region measurement covers —
@@ -200,19 +199,30 @@ def hot_footprint_bytes(trace, coverage: float = HOT_COVERAGE) -> int:
     return hot_lines * LINE_BYTES
 
 
-def measure_axes(source: str, name: str = "scenario") -> RealizedAxes:
+def _silent_engine() -> ExperimentEngine:
+    # every program it runs comes as source text: scale is never read
+    return ExperimentEngine(scale=1.0, telemetry=_SILENT)
+
+
+def measure_axes(
+    source: str,
+    name: str = "scenario",
+    engine: ExperimentEngine | None = None,
+) -> RealizedAxes:
     """Compile *source* and measure all three realized axis values.
 
-    Uses a silent telemetry session and the default gshare machine
-    config, so measurement never pollutes the caller's metrics and the
-    report depends only on the source bytes.
+    Compiles and captures (default gshare machine config) through
+    *engine*, by default a fresh one on a silent session that never
+    touches the caller's metrics. The report depends only on the
+    source bytes.
     """
-    pair = Toolchain(telemetry=_SILENT).compile(source, name)
+    engine = engine if engine is not None else _silent_engine()
+    pair = engine.compiled(name, source)
     hist = static_block_histogram(pair.conventional)
     blocks = sum(hist.values())
     total_ops = sum(size * count for size, count in hist.items())
-    captured = capture_run(
-        pair.conventional, "conventional", MachineConfig(), _SILENT
+    captured = engine.captured_run(
+        RunSpec(name, "conventional", source=source)
     )
     branches = captured.stats.branches
     rate = captured.stats.mispredicts / branches if branches else 0.0
@@ -291,8 +301,16 @@ def synthesize(
     attempt (by symmetric log error over the static axes) even when no
     attempt lands inside both tolerance bands, so every family always
     ships with honest realized values. Memoized: workload regeneration
-    and repeated sweeps pay the search once per process.
+    pays the search once per process, run on a fresh silent engine.
     """
+    return search(spec, budget, _silent_engine())
+
+
+def search(
+    spec: ScenarioSpec, budget: int, engine: ExperimentEngine
+) -> SynthesisResult:
+    """The measure-and-retry loop behind :func:`synthesize`, measuring
+    every attempt through *engine* (:func:`measure_axes`)."""
     params = _initial_params(spec)
     best: SynthesisResult | None = None
     history: list[str] = []
@@ -300,7 +318,7 @@ def synthesize(
     attempt = 0
     for attempt in range(1, max(1, budget) + 1):
         source = generate_source(spec, params)
-        axes = measure_axes(source, spec.family_name)
+        axes = measure_axes(source, spec.family_name, engine)
         history.append(
             f"attempt {attempt}: {params.key()} -> "
             f"bb={axes.mean_bb_ops} hot={axes.hot_bytes}"

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import fidelity
+from repro.errors import ConfigError
 from repro.harness import cli
 from repro.harness.cli import main
 from repro.obs.schema import fidelity_document_errors
@@ -94,6 +95,35 @@ def test_verify_paper_bad_bench_scale_env_exits_2(monkeypatch, bad, capsys):
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [err.strip()]
     assert "REPRO_BENCH_SCALE" in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "0", "inf"])
+def test_bench_scale_env_is_validated(monkeypatch, bad):
+    from benchmarks.conftest import bench_scale
+
+    monkeypatch.setenv("REPRO_BENCH_SCALE", bad)
+    with pytest.raises(ConfigError, match="REPRO_BENCH_SCALE"):
+        bench_scale()
+
+
+@pytest.mark.parametrize("bad", ["x", "1.5", "0", "-1"])
+def test_bench_jobs_env_is_validated(monkeypatch, bad):
+    from benchmarks.conftest import bench_jobs
+
+    monkeypatch.setenv("REPRO_BENCH_JOBS", bad)
+    with pytest.raises(ConfigError, match="REPRO_BENCH_JOBS"):
+        bench_jobs()
+
+
+def test_bench_env_defaults(monkeypatch):
+    from benchmarks.conftest import bench_jobs, bench_scale
+
+    monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+    monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+    assert bench_scale() == 0.35
+    assert bench_jobs() == 1
+    monkeypatch.setenv("REPRO_BENCH_JOBS", "3")
+    assert bench_jobs() == 3
 
 
 def test_verify_paper_unknown_benchmark_exits_2(capsys):

@@ -348,6 +348,88 @@ class TestOneReplayPath:
 
 
 # ---------------------------------------------------------------------------
+# Programs carried as source
+# ---------------------------------------------------------------------------
+
+
+def _summing(n: int) -> str:
+    """A tiny MiniC program that prints the sum of ``0..n-1``."""
+    return (
+        "void main() { int i; int s = 0;\n"
+        f"for (i = 0; i < {n}; i = i + 1) {{ s = s + i; }}\n"
+        "print_int(s); }\n"
+    )
+
+
+class TestSourceCarryingSpecs:
+    def test_programs_under_one_name_never_share_an_entry(self):
+        tel = Telemetry()
+        engine = ExperimentEngine(scale=SCALE, telemetry=tel)
+        first, second = (
+            RunSpec("prog", "conventional", source=_summing(n))
+            for n in (10, 20)
+        )
+        assert first != second and first.labels() == second.labels()
+        assert "source" not in repr(first)
+
+        def counts():
+            return (
+                tel.spans.totals()["suite.compile"]["count"],
+                tel.metrics.get("plan.trace_captures"),
+            )
+
+        results = [engine.run(first), engine.run(second)]
+        assert counts() == (2, 2)
+        for spec, result in zip((first, second), results):
+            alone = ExperimentEngine(scale=SCALE).run(spec)
+            assert dataclasses.asdict(result) == dataclasses.asdict(alone)
+        assert results[0].outputs != results[1].outputs
+        # the same source again: no compile, and one capture only for
+        # the ISA not yet run
+        again = RunSpec(
+            "prog", "conventional", MachineConfig().with_icache_kb(16),
+            source=_summing(10),
+        )
+        engine.run(again)
+        assert counts() == (2, 2)
+        engine.run(dataclasses.replace(again, isa="block"))
+        assert counts() == (2, 3)
+        assert engine.compiled("prog", _summing(10)) is engine.compiled(
+            "prog", first.source
+        )
+
+    def test_registered_source_text_shares_every_disk_key(self, tmp_path):
+        text = SUITE["compress"].source(SCALE)
+        named = RunSpec("compress", "block")
+        carried = RunSpec("compress", "block", source=text)
+        engine = ExperimentEngine(
+            scale=SCALE, benchmarks=["compress"],
+            cache=ArtifactCache(tmp_path),
+        )
+        assert engine._compile_key("compress", text) == compile_key(
+            "compress", text, ToolchainSpec()
+        ) == engine._compile_key("compress")
+        for kind in ("trace", "run", "insight"):
+            assert engine._key(kind, carried) == engine._key(kind, named)
+        want = engine.run(named)
+        # a fresh session over the same cache: the carried spec's run
+        # and a sibling config's trace are both served from disk
+        tel = Telemetry()
+        again = ExperimentEngine(
+            scale=SCALE, telemetry=tel, cache=ArtifactCache(tmp_path)
+        )
+        got = again.run(carried)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        again.run(dataclasses.replace(
+            carried, config=MachineConfig().with_icache_kb(16)
+        ))
+        assert tel.metrics.get("plan.cache_hits", kind="run") == 1
+        assert tel.metrics.get("plan.cache_hits", kind="trace") == 1
+        assert tel.metrics.get("plan.trace_captures") is None
+        assert "suite.compile" not in tel.spans.totals()
+
+
+# ---------------------------------------------------------------------------
 # Artifact cache
 # ---------------------------------------------------------------------------
 

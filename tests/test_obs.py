@@ -150,6 +150,34 @@ class TestSpans:
         assert totals["opt.dce"]["count"] == 3
         assert totals["opt.dce"]["total_s"] >= 0.0
 
+    def test_totals_stay_exact_when_records_drop(self):
+        rec = SpanRecorder(capacity=2)
+        durations = []
+        for _ in range(5):
+            with rec.span("compile"):
+                pass
+            durations.append(rec.records[-1].duration_s)
+        assert len(rec.records) == 2 and rec.dropped == 3
+        totals = rec.totals()["compile"]
+        assert totals["count"] == 5
+        assert totals["total_s"] == pytest.approx(sum(durations))
+        assert totals["max_s"] == max(durations)
+        rec.merge([
+            {"name": "compile", "duration_s": 7.0},
+            {"name": "sim.capture", "duration_s": 0.5},
+        ])
+        totals = rec.totals()
+        assert totals["compile"]["count"] == 6
+        assert totals["compile"]["total_s"] == pytest.approx(
+            sum(durations) + 7.0
+        )
+        assert totals["compile"]["max_s"] == 7.0
+        assert totals["sim.capture"] == {
+            "count": 1, "total_s": 0.5, "max_s": 0.5
+        }
+        rec.clear()
+        assert rec.totals() == {}
+
 
 # ---------------------------------------------------------------------------
 # Event trace

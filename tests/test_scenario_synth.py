@@ -15,7 +15,9 @@ import pytest
 from repro.check.genprog import GenConfig, ProgramBuilder, generate_program
 from repro.errors import ConfigError
 from repro.isa.program import LINE_BYTES
+from repro.obs import Telemetry, use_telemetry
 from repro.scenario.spec import ScenarioSpec, SynthParams
+from repro.scenario.sweep import sweep_cell
 from repro.scenario.synth import (
     generate_source,
     hot_footprint_bytes,
@@ -129,6 +131,31 @@ def test_synthesize_scale_changes_trips_not_shape():
         if a != b
     ]
     assert len(diff) == 1 and "for (i = 0" in diff[0][0]
+
+
+@pytest.mark.parametrize(
+    "scale, extra_captures, extra_compiles", [(1.0, 1, 0), (0.5, 2, 1)]
+)
+def test_sweep_cell_reuses_its_chosen_attempt(
+    scale, extra_captures, extra_compiles
+):
+    """Synthesis and the cell share one engine. At scale 1.0 the cell
+    runs the attempt it chose: only the BS-ISA capture is new. At any
+    other scale the cell's program is new: one more compile, and a
+    capture per ISA."""
+    tel = Telemetry()
+    cell = sweep_cell(SMALL_SPEC, [4, 64], scale=scale, budget=2,
+                      telemetry=tel)
+    attempts = cell["attempts"]
+    assert tel.metrics.get("plan.trace_captures") == attempts + extra_captures
+    compiles = tel.spans.totals()["suite.compile"]["count"]
+    assert compiles == attempts + extra_compiles
+
+
+def test_synthesize_records_nothing_on_the_callers_session():
+    with use_telemetry() as tel:
+        synthesize.__wrapped__(SMALL_SPEC, 2)
+    assert tel.spans.totals() == {} and not tel.metrics.series()
 
 
 def test_synthesize_converges_near_targets():
