@@ -16,6 +16,12 @@ every layer against every other:
   counter (committed ops/units, mispredicts, squashes) — the
   "retired-op stream" check; and (c) satisfy every identity in
   :mod:`repro.check.invariants`;
+* the **perfect-prediction derivation**
+  (:func:`~repro.sim.run.derive_perfect_bp`) builds the BS-ISA's
+  perfect run from each real-prediction block capture; its trace
+  bytes and counters must equal a direct ``predictor=None`` capture
+  (``cosim.perfect_derivation``), so ``bsisa fuzz`` shrinks derivation
+  bugs too;
 * the **vectorized replay kernel** (:mod:`repro.sim.vector`) replays
   the same captured trace as a third implementation whenever numpy is
   importable: its ``SimResult`` must be bit-identical to the scalar
@@ -46,7 +52,7 @@ from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.predictors import BlockPredictor, GsharePredictor
-from repro.sim.run import capture_run, replay_captured
+from repro.sim.run import capture_run, derive_perfect_bp, replay_captured
 
 #: Enlargement matrix: the paper's default, enlargement off, and a
 #: deliberately tight budget that forces many small families.
@@ -245,6 +251,10 @@ class CosimChecker:
             # differential — both implementations consume the same
             # packed columns.
             captured = capture_run(prog, isa, machine, _SILENT)
+            if isa == "block" and not machine.perfect_bp:
+                self._check_perfect_derivation(
+                    captured, prog, machine, where, fail
+                )
             collector = InsightCollector()
             result = replay_captured(
                 captured, machine, _SILENT,
@@ -275,6 +285,37 @@ class CosimChecker:
                 self._check_vector_kernel(
                     captured, machine, result, collector, isa, where, fail
                 )
+
+    def _check_perfect_derivation(
+        self, captured, prog, machine, where, fail
+    ) -> None:
+        """Derive the perfect-prediction run from the real-prediction
+        block capture *captured* and pin it to a direct
+        ``predictor=None`` capture: trace bytes and counters equal."""
+        if not captured.derives_perfect_bp:
+            fail(Violation(
+                "cosim.perfect_derivation",
+                f"{where} the real-prediction capture proved no "
+                f"perfect-prediction rollbacks to derive from",
+            ))
+            return
+        derived = derive_perfect_bp(captured, _SILENT)
+        direct = capture_run(
+            prog, "block", machine.with_perfect_bp(), _SILENT
+        )
+        mismatched = [
+            name for name, got, want in (
+                ("trace", derived.trace.to_bytes(), direct.trace.to_bytes()),
+                ("stats", dataclasses.asdict(derived.stats),
+                 dataclasses.asdict(direct.stats)),
+            ) if got != want
+        ]
+        if mismatched:
+            fail(Violation(
+                "cosim.perfect_derivation",
+                f"{where} the derived perfect-prediction run differs from "
+                f"a direct capture in: {', '.join(mismatched)}",
+            ))
 
     def _check_vector_kernel(
         self, captured, machine, result, collector, isa, where, fail

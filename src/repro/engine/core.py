@@ -15,10 +15,12 @@ session:
   fetch-unit stream (:class:`~repro.sim.run.CapturedRun`) is memoized
   by :func:`~repro.sim.run.predictor_key` and disk-cached by
   :func:`~repro.engine.spec.trace_key`, then *replayed* for every
-  machine config that shares it (docs/performance.md). A conventional
-  program executes only under real prediction: its perfect-prediction
-  trace is derived from the real one
-  (:func:`~repro.sim.run.derive_perfect_bp`);
+  machine config that shares it (docs/performance.md). A program
+  executes only under real prediction, once per ISA: its
+  perfect-prediction trace is derived from the real one
+  (:func:`~repro.sim.run.derive_perfect_bp`) in a
+  ``sim.derive{benchmark,isa}`` span, unless a block real run carries
+  no rollback record;
 * **runs** — simulation results are memoized by full-fidelity
   :class:`~repro.engine.spec.RunSpec` (the entire machine config
   participates in the key) and disk-cached by content address;
@@ -31,14 +33,15 @@ session:
   order. :meth:`run` is the same path for one spec.
 
 Plan-level telemetry: ``plan.runs_total`` / ``plan.runs_deduped``
-counters per execution, ``plan.cache_hits{kind=run|compile|trace}`` /
-``plan.cache_misses{...}``, ``plan.trace_captures`` /
-``plan.trace_replays`` / ``plan.trace_reuse`` counters for the
-capture/replay split, ``plan.sweep_groups`` /
-``plan.trace_ship_bytes`` / ``sweep.configs_batched`` counters for the
-sweep-batched distribution (docs/experiment-engine.md), and a
-``plan.run{benchmark,isa}`` span around every simulation (worker-side
-when parallel).
+counters per execution,
+``plan.cache_hits{kind=run|compile|trace|insight}`` /
+``plan.cache_misses{kind=run|compile|trace|insight}``,
+``plan.trace_captures`` / ``plan.trace_replays`` /
+``plan.trace_reuse`` counters for the capture/replay split,
+``plan.sweep_groups`` / ``plan.trace_ship_bytes`` /
+``sweep.configs_batched`` counters for the sweep-batched distribution
+(docs/experiment-engine.md), and a ``plan.run{benchmark,isa}`` span
+around every simulation (worker-side when parallel).
 """
 
 from __future__ import annotations
@@ -191,26 +194,34 @@ class ExperimentEngine:
     # -- captured traces -----------------------------------------------
 
     def captured_run(self, spec: RunSpec) -> CapturedRun:
-        """The packed trace serving *spec*: memo → disk cache → capture.
+        """The packed trace serving *spec*.
 
         The memo key is *(benchmark, source, isa, predictor_key(config))*
         — one functional execution serves every machine config of an
-        icache / latency / window sweep. A conventional
-        perfect-prediction trace is never captured or cached on its
-        own: it is derived (:func:`~repro.sim.run.derive_perfect_bp`)
+        icache / latency / window sweep. A perfect-prediction trace of
+        either ISA is derived (:func:`~repro.sim.run.derive_perfect_bp`)
         from the real-prediction trace of the same predictor geometry,
         which comes through these same tiers and is counted by the one
-        that served it.
+        that served it; it is never captured or cached on its own. Only
+        a block real run that carries no rollback record (a step was
+        unproven, the perfect machine would exceed the op limit, or the
+        trace was cached before the record existed) leaves its perfect
+        trace to the memo → disk cache → capture path every real trace
+        takes.
         """
         memo = _trace_memo(spec)
         tel = self._tel()
         if memo in self._traces:
             tel.count("plan.trace_reuse")
             return self._traces[memo]
-        if spec.isa == "conventional" and spec.config.perfect_bp:
-            real = replace(spec, config=spec.config.with_perfect_bp(False))
-            captured = derive_perfect_bp(self.captured_run(real))
-        else:
+        captured = None
+        if spec.config.perfect_bp:
+            real = self.captured_run(
+                replace(spec, config=spec.config.with_perfect_bp(False))
+            )
+            if real.derives_perfect_bp:
+                captured = derive_perfect_bp(real, tel)
+        if captured is None:
             tkey = self._key("trace", spec)
             captured = self._load("trace", tkey)
             if captured is None:

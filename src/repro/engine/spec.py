@@ -177,8 +177,9 @@ def trace_key(compile_digest: str, isa: str, config: MachineConfig) -> str:
     (:func:`repro.sim.run.predictor_key`), so every machine config of an
     icache/latency/window sweep shares one trace artifact. Perfect
     prediction collapses the predictor geometry entirely. The engine
-    stores no conventional perfect-prediction trace: it derives that
-    one from the real-prediction trace.
+    stores no perfect-prediction trace: it derives that one from the
+    real-prediction trace, unless a BS-ISA real run carries no
+    rollback record (:attr:`repro.sim.run.CapturedRun.perfect_rollback`).
     """
     if config.perfect_bp:
         predictor: dict = {"perfect_bp": True}

@@ -18,6 +18,14 @@ Implements the BS-ISA's architectural semantics (paper §2/§4.1):
 With ``predictor=None`` prediction is perfect: the executor silently
 resolves the fault chain and fetches the correct variant directly, so no
 faults fire and no squashed units are emitted (Figure 4's configuration).
+That mode stays the reference, but a traced real-prediction capture
+also records what a perfect machine would roll back
+(:attr:`BlockExecutor.perfect_rollback`), so
+:func:`repro.sim.run.derive_perfect_bp` builds the perfect run from it
+without executing the program again. Both machines commit the same
+blocks: a perfect machine fetches the successor the committed block
+names, and the enlarged variants it rolls back on the way follow from
+the block structure alone (:func:`_rollback_uids`).
 
 The trace is recorded straight into a
 :class:`~repro.sim.packed.PackedTrace`: each block is decoded once per
@@ -29,6 +37,7 @@ columns are rolled back while its uids stay consumed, because
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 from weakref import WeakKeyDictionary
@@ -55,6 +64,11 @@ _DEFAULT_OP_LIMIT = 500_000_000
 #: here, not on the program, so it is never pickled into a compile
 #: artifact: a program loaded from one decodes afresh.
 _DECODED: WeakKeyDictionary = WeakKeyDictionary()
+
+#: program -> {(fetched, committed) block address: the uids a
+#: perfect-prediction machine rolls back between them, or None when a
+#: step is unproven}, beside :data:`_DECODED` and kept the same way
+_WALKS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass
@@ -105,6 +119,61 @@ def _control(op: MachineOp, index: int) -> tuple:
     return (BAD, None, op.srcs, None, None, f"illegal control op {op.asm()!r}")
 
 
+def _mirrored_fault(
+    ops: list[MachineOp], committed: list[MachineOp]
+) -> int | None:
+    """The target of the fault that rolls *ops* back, proven against
+    the *committed* block's ops from the same state, or None.
+
+    The proof: both blocks hold equal ops (opcode, dest, srcs, imm) up
+    to some index *i*, and at *i* a ``FAULT`` on the same source with
+    opposite polarity. The equal prefix computes equal values, so the
+    committed block's faults up to *i* did not fire, nor do their
+    copies, and the mirrored fault at *i* does.
+    """
+    for op, ref in zip(ops, committed):
+        if (
+            op.opcode is ref.opcode and op.dest == ref.dest
+            and op.srcs == ref.srcs and op.imm == ref.imm
+        ):
+            continue
+        if (
+            op.opcode is Opcode.FAULT and ref.opcode is Opcode.FAULT
+            and op.srcs == ref.srcs and bool(op.imm) != bool(ref.imm)
+        ):
+            return op.taddr
+        return None
+    return None
+
+
+def _rollback_uids(
+    prog: BlockProgram, addr: int, committed: AtomicBlock
+) -> int | None:
+    """The uids a perfect-prediction machine consumes on the variants it
+    rolls back between fetching *addr* and committing *committed*, or
+    None when a step is unproven (:func:`_mirrored_fault`).
+
+    A rolled-back variant runs whole, so its whole length is consumed.
+    The walk does not run it: an op past the fault that raises (a
+    malformed op, or a float-to-int conversion of an infinity or NaN)
+    would stop a direct perfect-prediction capture, but not this walk.
+    A walk longer than the program's block count revisits a block, so
+    it stops there.
+    """
+    uids = 0
+    for _ in range(len(prog.by_addr)):
+        if addr == committed.addr:
+            return uids
+        block = prog.by_addr.get(addr)
+        if block is None:
+            return None
+        addr = _mirrored_fault(block.ops, committed.ops)
+        if addr is None:
+            return None
+        uids += len(block.ops)
+    return None
+
+
 class BlockExecutor:
     """Executes one BS-ISA program; each :meth:`capture` (or
     :meth:`run`) runs it from the start and replaces :attr:`stats`."""
@@ -121,6 +190,12 @@ class BlockExecutor:
         self.trace = trace
         self.op_limit = op_limit
         self.stats = BlockStats()
+        #: set by a traced real-prediction :meth:`capture`: for each
+        #: committed block before which a perfect-prediction machine
+        #: rolls back variants, the pair (index among committed blocks,
+        #: uids those variants consume), flattened. None when a step is
+        #: unproven or the perfect machine would exceed ``op_limit``.
+        self.perfect_rollback: array | None = None
 
     @property
     def outputs(self) -> list:
@@ -140,7 +215,8 @@ class BlockExecutor:
 
         The trace is empty when the executor was built with
         ``trace=False``; every recording step sits behind ``if trace``,
-        so architectural results do not depend on it.
+        so architectural results do not depend on it. A traced
+        real-prediction capture also sets :attr:`perfect_rollback`.
         """
         # repro.sim imports this module, so the trace type comes late.
         from repro.sim.packed import PackedTrace
@@ -152,6 +228,13 @@ class BlockExecutor:
         perfect = predictor is None
         op_limit = self.op_limit
         outputs: list = []
+        self.perfect_rollback = None
+        #: where a perfect-prediction machine fetches next, and what it
+        #: rolls back (see perfect_rollback; None once unproven)
+        fetch_addr = prog.entry_addr
+        rollback = array("q") if trace and not perfect else None
+        walks: dict[tuple[int, int], int | None]
+        walks = _WALKS.setdefault(prog, {})
 
         regs: list[int | float] = [0] * 32 + [0.0] * 32
         regs[SP] = STACK_BASE
@@ -310,6 +393,15 @@ class BlockExecutor:
                     continue
 
                 # Commit.
+                if rollback is not None and fetch_addr != current.addr:
+                    walk = (fetch_addr, current.addr)
+                    if walk not in walks:
+                        walks[walk] = _rollback_uids(prog, fetch_addr, current)
+                    uids = walks[walk]
+                    if uids is None:
+                        rollback = None
+                    else:
+                        rollback.extend((blocks_committed, uids))
                 regs = bregs
                 words.update(sbuf)
                 if trace:
@@ -346,6 +438,7 @@ class BlockExecutor:
                         # selects the variant (direction is fixed/true).
                         explicit = term.taddr
                         outcome = True
+                    fetch_addr = explicit
                     if perfect:
                         next_block = prog.block_at(explicit)
                     else:
@@ -388,6 +481,7 @@ class BlockExecutor:
                         raise ExecutionError(
                             f"block {current.label} has no successor"
                         )
+                    fetch_addr = next_addr
                     next_block = prog.block_at(next_addr)
 
                 if trace:
@@ -401,6 +495,11 @@ class BlockExecutor:
                         out.unit_flags.append(F_ATOMIC)
                     out.unit_op_start.append(pos)
                 if halted:
+                    if (
+                        rollback is not None
+                        and committed_ops + sum(rollback[1::2]) <= op_limit
+                    ):
+                        self.perfect_rollback = rollback
                     return out
                 current = next_block
         finally:

@@ -8,7 +8,8 @@ One simulation is two phases (docs/performance.md):
   counters as a :class:`CapturedRun`. The stream depends only on the
   program and the predictor configuration
   (:func:`predictor_key`) — never on icache geometry, latencies, or
-  window sizes;
+  window sizes. A perfect-prediction stream is derived from a real one
+  without executing again (:func:`derive_perfect_bp`);
 * **replay** — push the packed trace through the vector kernel
   (:mod:`repro.sim.vector`) or the scalar reference
   :meth:`~repro.sim.engine.TimingEngine.run_packed` under any machine
@@ -23,11 +24,14 @@ runs :func:`prepare_sweep` once for it.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from repro.errors import SimulationError
 from repro.exec.block import BlockExecutor, BlockStats
 from repro.exec.conventional import ConventionalExecutor, ConventionalStats
+from repro.exec.trace import F_ATOMIC, F_SQUASHED
 from repro.isa.program import BlockProgram, ConventionalProgram
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.sim import vector
@@ -94,12 +98,12 @@ def predictor_key(config: MachineConfig) -> tuple:
 
     Two configs with equal keys produce bit-identical fetch-unit
     streams, so one captured trace serves both. Perfect prediction
-    ignores the table geometry entirely. On the conventional ISA the
-    perfect stream is also a pure function of any real one
-    (:func:`derive_perfect_bp`), so the engine captures it under the
-    real key of the same geometry; on the BS-ISA the predictor picks
-    the fetched variants, and the two keys name really different
-    streams.
+    ignores the table geometry entirely. The perfect stream of either
+    ISA is also a function of a real one (:func:`derive_perfect_bp`),
+    so the engine captures it under the real key of the same geometry.
+    The two keys still name different streams: on the BS-ISA the
+    predictor picks the fetched variants, so the real stream holds
+    squashed units the perfect one never fetches.
     """
     if config.perfect_bp:
         return ("perfect",)
@@ -157,6 +161,16 @@ class CapturedRun:
     predictor: PredictorSnapshot | None
     bp_accuracy: float
     static_code_bytes: int
+    #: a real-prediction block capture's
+    #: :attr:`~repro.exec.block.BlockExecutor.perfect_rollback`, from
+    #: which :func:`derive_perfect_bp` builds the perfect run. None
+    #: elsewhere, and in every trace cached before it existed.
+    perfect_rollback: array | None = None
+
+    @property
+    def derives_perfect_bp(self) -> bool:
+        """Whether :func:`derive_perfect_bp` accepts this run."""
+        return self.isa == "conventional" or self.perfect_rollback is not None
 
 
 def _publish(
@@ -309,48 +323,141 @@ def capture_block_structured(
         predictor=PredictorSnapshot.of(predictor),
         bp_accuracy=predictor.accuracy if predictor is not None else 1.0,
         static_code_bytes=prog.code_bytes,
+        perfect_rollback=executor.perfect_rollback,
     )
 
 
-def derive_perfect_bp(captured: CapturedRun) -> CapturedRun:
-    """The perfect-prediction run of a conventional program, derived
-    from a real-prediction capture of it without executing again.
+def derive_perfect_bp(
+    captured: CapturedRun, telemetry: Telemetry | None = None
+) -> CapturedRun:
+    """The perfect-prediction run of a program, derived from a
+    real-prediction capture of it without executing again; equal field
+    for field to a ``predictor=None`` capture. Runs in a
+    ``sim.derive{benchmark,isa}`` span.
 
-    The conventional predictor only decides *when* fetch redirects,
-    never *what* is fetched: control follows the actual branch
-    outcomes, and a fetch unit's extent depends only on its start
-    address. The perfect stream is therefore the real one with its
-    mispredict marks cleared, equal field for field to a
-    ``predictor=None`` capture. The new trace gets its own
-    ``unit_flags`` and ``unit_resolve`` columns and shares every other
-    column with *captured* read-only, together with the replay prep
-    computed from those columns
-    (:meth:`~repro.sim.packed.PackedTrace.with_unit_flags`). On the
-    BS-ISA the predictor picks which enlarged variant is fetched, so
-    its two streams really differ; a block capture raises
-    :class:`SimulationError`.
+    * **Conventional.** The predictor only decides *when* fetch
+      redirects, never *what* is fetched: control follows the actual
+      branch outcomes, and a fetch unit's extent depends only on its
+      start address. The perfect stream is the real one with its
+      mispredict marks cleared. The new trace gets its own
+      ``unit_flags`` and ``unit_resolve`` columns and shares every
+      other column with *captured* read-only, together with the replay
+      prep computed from those columns
+      (:meth:`~repro.sim.packed.PackedTrace.with_unit_flags`).
+    * **BS-ISA.** Both machines commit the same blocks; the perfect one
+      never fetches a squashed unit, but the variants it rolls back
+      still consume uids. The real capture records those uids
+      (:attr:`CapturedRun.perfect_rollback`), so the perfect stream is
+      the real one's committed units, renumbered
+      (:func:`_perfect_block_trace`). A block capture that carries no
+      rollback record raises :class:`SimulationError`
+      (:attr:`CapturedRun.derives_perfect_bp`).
     """
-    if captured.isa != "conventional":
+    if not captured.derives_perfect_bp:
         raise SimulationError(
-            "only a conventional capture derives its perfect-prediction "
-            f"run; got {captured.isa!r}"
+            f"the {captured.isa!r} capture of {captured.name!r} carries no "
+            "perfect-prediction rollback record to derive from"
         )
-    n = captured.trace.num_units
-    trace = captured.trace.with_unit_flags(
-        unit_resolve=array("q", [-1]) * n, unit_flags=array("B", bytes(n))
-    )
-    stats = replace(
-        captured.stats, mispredicts=0, outputs=list(captured.stats.outputs)
-    )
+    tel = telemetry if telemetry is not None else get_telemetry()
+    with tel.span("sim.derive", benchmark=captured.name, isa=captured.isa):
+        if captured.isa == "conventional":
+            n = captured.trace.num_units
+            trace = captured.trace.with_unit_flags(
+                unit_resolve=array("q", [-1]) * n,
+                unit_flags=array("B", bytes(n)),
+            )
+            stats = replace(
+                captured.stats, mispredicts=0,
+                outputs=list(captured.stats.outputs),
+            )
+        else:
+            trace = _perfect_block_trace(
+                captured.trace, captured.perfect_rollback
+            )
+            real = captured.stats
+            stats = BlockStats(
+                fetched_ops=real.committed_ops,
+                committed_ops=real.committed_ops,
+                blocks_fetched=real.blocks_committed,
+                blocks_committed=real.blocks_committed,
+                calls=real.calls, returns=real.returns,
+                loads=real.loads, stores=real.stores,
+                outputs=list(real.outputs),
+            )
     return CapturedRun(
         name=captured.name,
-        isa="conventional",
+        isa=captured.isa,
         trace=trace,
         stats=stats,
         predictor=None,
         bp_accuracy=1.0,
         static_code_bytes=captured.static_code_bytes,
     )
+
+
+def _perfect_block_trace(trace: PackedTrace, rollback: array) -> PackedTrace:
+    """The perfect-prediction stream of a real-prediction BS-ISA *trace*.
+
+    Its units are the committed units of *trace*, in order and unmarked.
+    The columns are copied one run of consecutive committed units at a
+    time, each op moving down by the squashed ops before its run; the
+    dependences name committed ops only, so they move the same way. The
+    uids run on from the positions, except that before each committed
+    block *k* of a ``(k, uids)`` pair in *rollback* they skip the *uids*
+    that the rolled-back variants consumed.
+    """
+    out = PackedTrace.empty()
+    op_start = trace.unit_op_start
+    dep_start = trace.op_dep_start
+    #: first op position of each run so far, and how far its ops move
+    firsts: list[int] = []
+    shifts: list[int] = []
+    for u0, u1 in _committed_runs(trace.unit_flags):
+        first, end = op_start[u0], op_start[u1]
+        shift = first - len(out.op_lat)
+        dep_shift = dep_start[first] - len(out.deps)
+        firsts.append(first)
+        shifts.append(shift)
+        out.unit_addr += trace.unit_addr[u0:u1]
+        out.unit_size += trace.unit_size[u0:u1]
+        out.unit_op_start.fromlist(
+            [s - shift for s in op_start[u0 + 1:u1 + 1]]
+        )
+        out.op_lat += trace.op_lat[first:end]
+        out.op_mem += trace.op_mem[first:end]
+        out.op_flags += trace.op_flags[first:end]
+        out.op_dep_start.fromlist(
+            [d - dep_shift for d in dep_start[first + 1:end + 1]]
+        )
+        out.deps.fromlist([
+            p - shift if p >= first
+            else p - shifts[bisect_right(firsts, p) - 1]
+            for p in trace.deps[dep_start[first]:dep_start[end]]
+        ])
+    n = len(out.unit_addr)
+    out.unit_resolve = array("q", [-1]) * n
+    out.unit_flags = array("B", [F_ATOMIC]) * n
+    pos = skipped = 0
+    pairs = iter(rollback)
+    for k, uids in zip(pairs, pairs):
+        start = out.unit_op_start[k]
+        out.op_uid.extend(range(pos + skipped, start + skipped))
+        pos, skipped = start, skipped + uids
+    out.op_uid.extend(range(pos + skipped, len(out.op_lat) + skipped))
+    return out
+
+
+def _committed_runs(unit_flags: array) -> Iterator[tuple[int, int]]:
+    """``(first, end)`` unit ranges of the maximal runs of units that
+    committed (no ``F_SQUASHED`` flag)."""
+    first = 0
+    for u, flags in enumerate(unit_flags):
+        if flags & F_SQUASHED:
+            if u > first:
+                yield first, u
+            first = u + 1
+    if len(unit_flags) > first:
+        yield first, len(unit_flags)
 
 
 def capture_run(

@@ -132,8 +132,8 @@ def test_suite_captures_match_golden(request):
 
 
 def test_engine_derived_perfect_captures_match_golden():
-    """The engine executes each conventional program only under real
-    prediction and derives the perfect-prediction capture from it
+    """The engine executes each program only under real prediction and
+    derives the perfect-prediction capture of either ISA from it
     (:func:`~repro.sim.run.derive_perfect_bp`); the derived captures
     must hash to the goldens pinned from direct ``predictor=None``
     executions."""
@@ -141,9 +141,9 @@ def test_engine_derived_perfect_captures_match_golden():
     perfect = {
         key: spec
         for key, spec in planned_captures().items()
-        if key.endswith("/conventional/perfect")
+        if key.endswith("/perfect")
     }
-    assert len(perfect) == len(SUITE) == 8
+    assert len(perfect) == 2 * len(SUITE) == 16
     tel = Telemetry()
     engine = ExperimentEngine(
         scale=CAPTURE_SCALE, benchmarks=list(SUITE), telemetry=tel
@@ -151,5 +151,7 @@ def test_engine_derived_perfect_captures_match_golden():
     for key, (name, isa, config) in sorted(perfect.items()):
         derived = engine.captured_run(RunSpec(name, isa, config))
         assert fingerprint(derived) == golden[key], key
-    # one real-prediction execution per benchmark, none under perfect
-    assert tel.metrics.get("plan.trace_captures") == 8
+    # one real-prediction execution per benchmark and ISA, none under
+    # perfect prediction; one derivation per perfect capture
+    assert tel.metrics.get("plan.trace_captures") == 16
+    assert tel.spans.totals()["sim.derive"]["count"] == 16

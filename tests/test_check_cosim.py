@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backend.enlarge import EnlargeConfig
-from repro.check import CosimChecker, cosim
+from repro.check import CosimChecker, Fuzzer, cosim
 from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
 from repro.sim.engine import TimingEngine
@@ -108,6 +108,46 @@ class TestBrokenPrograms:
         assert not report.ok
         assert report.violations[0].invariant == "cosim.crash"
         assert "engine exploded" in report.violations[0].message
+
+
+class TestPerfectDerivation:
+    def test_every_enlargement_variant_is_derived(self, monkeypatch):
+        """The oracle derives the perfect run from the real-prediction
+        block capture of each enlargement variant and finds it equal to
+        the direct capture."""
+        derived = []
+
+        def counting(*args, **kwargs):
+            derived.append(args[0].name)
+            return orig(*args, **kwargs)
+
+        orig = cosim.derive_perfect_bp
+        monkeypatch.setattr(cosim, "derive_perfect_bp", counting)
+        report = CosimChecker().check_source(SMALL_PROGRAM, "small")
+        assert report.ok, report.summary()
+        assert len(derived) == 3
+
+    def test_shifted_uid_is_caught_and_shrinks(self, monkeypatch, tmp_path):
+        """Shift one uid of every derived run and the fuzzer must (a)
+        flag it as cosim.perfect_derivation and (b) delta-debug the
+        reproducer to <= 15 lines."""
+        orig = cosim.derive_perfect_bp
+
+        def shifted(*args, **kwargs):
+            run = orig(*args, **kwargs)
+            run.trace.op_uid[-1] += 1
+            return run
+
+        monkeypatch.setattr(cosim, "derive_perfect_bp", shifted)
+        fuzzer = Fuzzer(
+            checker=CosimChecker(), corpus_dir=str(tmp_path), shrink=True
+        )
+        result = fuzzer.run(3, seed=3)
+        assert not result.ok, "a shifted uid escaped the oracle"
+        for failure in result.failures:
+            invariants = {v.invariant for v in failure.violations}
+            assert invariants == {"cosim.perfect_derivation"}, invariants
+            assert failure.reproducer_lines <= 15, failure.reproducer
 
 
 class TestTelemetry:

@@ -23,12 +23,13 @@ from repro.engine import (
     replay_group,
 )
 from repro.engine.spec import trace_key
-from repro.errors import SimulationError
+from repro.errors import ExecutionError, SimulationError
 from repro.exec import block as block_exec
 from repro.exec.block import BlockExecutor
 from repro.exec.conventional import ConventionalExecutor
 from repro.exec.trace import DynOp, FetchUnit
 from repro.harness import EXPERIMENT_RUNS, SuiteRunner
+from repro.isa.asm import assemble_block_structured
 from repro.obs import Telemetry, get_telemetry
 from repro.sim import vector
 from repro.sim.config import MachineConfig
@@ -251,22 +252,22 @@ class TestTraceReuse:
         assert tel.metrics.get("plan.trace_replays") == 8
         assert tel.metrics.get("plan.trace_reuse") == 6
 
-    def test_perfect_bp_executes_conventional_once_block_twice(self):
+    def test_perfect_bp_executes_each_isa_once(self):
         """fig3+fig4 replay real and perfect prediction on both ISAs.
-        The conventional perfect stream is derived from the real one;
-        the BS-ISA's predictor picks the fetched variants, so its two
-        streams are both executed."""
+        Each program executes once, under real prediction; both
+        perfect streams are derived from the real ones, each in its
+        own sim.derive span."""
         tel = Telemetry()
         runner = SuiteRunner(
             scale=SCALE, benchmarks=["compress"], telemetry=tel
         )
         runner.execute(["fig3", "fig4"])  # real + perfect BP, 2 ISAs
-        assert tel.metrics.get("plan.trace_captures") == 3
-        captures = sorted(
-            s.labels["isa"] for s in tel.spans.records
-            if s.name == "sim.capture"
-        )
-        assert captures == ["block", "block", "conventional"]
+        assert tel.metrics.get("plan.trace_captures") == 2
+        for name in ("sim.capture", "sim.derive"):
+            isas = sorted(
+                s.labels["isa"] for s in tel.spans.records if s.name == name
+            )
+            assert isas == ["block", "conventional"], name
 
     def test_predictor_key_ignores_non_predictor_fields(self):
         base = MachineConfig()
@@ -285,7 +286,7 @@ class TestTraceReuse:
 
 
 # ---------------------------------------------------------------------------
-# Perfect prediction derived from real prediction (conventional ISA)
+# Perfect prediction derived from real prediction
 # ---------------------------------------------------------------------------
 
 
@@ -308,10 +309,130 @@ class TestPerfectDerivation:
         assert derived.trace.unit_flags is not real.trace.unit_flags
         assert derived.trace.unit_resolve is not real.trace.unit_resolve
 
-    def test_block_capture_has_no_derivation(self):
-        real = capture_run(_pair("compress").block, "block", self.REAL)
-        with pytest.raises(SimulationError, match="conventional"):
+    def test_block_derived_run_equals_direct_capture(self):
+        """The real-prediction block capture carries the perfect
+        machine's rollbacks, and the run derived from it equals a
+        direct ``predictor=None`` capture field for field."""
+        prog = _pair("compress").block
+        real = capture_run(prog, "block", self.REAL)
+        derived = derive_perfect_bp(real)
+        direct = capture_run(prog, "block", self.PERFECT)
+        assert real.stats.blocks_squashed > 0
+        assert real.perfect_rollback is not None
+        # the perfect machine rolls variants back: its uids run ahead
+        assert direct.trace.op_uid[-1] > direct.trace.num_ops - 1
+        assert derived == direct
+        assert derived.trace.to_bytes() == direct.trace.to_bytes()
+        assert derived.stats.outputs is not real.stats.outputs
+        assert real == capture_run(prog, "block", self.REAL)
+
+    #: ``main`` faults on r14 and its mirrored sibling ``main_taken``
+    #: commits; ``unproven`` faults to a block that shares no prefix
+    MIRRORED = """
+_start:
+    call main, _halt
+_halt:
+    halt
+main:
+    movi r14, 7
+    fault r14, 0, main_taken
+    putint r0
+    ret r31
+main_taken:
+    movi r14, 7
+    fault r14, 1, main
+    putint r14
+    ret r31
+unproven:
+    putint r14
+    ret r31
+"""
+
+    def test_hand_written_mirrored_fault_is_derived(self):
+        prog = assemble_block_structured(self.MIRRORED)
+        real = capture_run(prog, "block", self.REAL)
+        assert real.stats.blocks_squashed == 1
+        # main (4 ops) rolls back before committed block 1, main_taken
+        assert list(real.perfect_rollback) == [1, 4]
+        direct = capture_run(prog, "block", self.PERFECT)
+        assert derive_perfect_bp(real) == direct
+        assert direct.stats.outputs == [("i", 7)]
+
+    def test_unproven_fault_step_publishes_no_rollback(self):
+        """A fault whose target is no mirrored sibling is not proven
+        from the block structure: the real capture publishes no
+        rollback record, and the derivation refuses it."""
+        text = self.MIRRORED.replace(
+            "fault r14, 0, main_taken", "fault r14, 0, unproven"
+        )
+        prog = assemble_block_structured(text)
+        real = capture_run(prog, "block", self.REAL)
+        assert real.stats.blocks_squashed == 1
+        assert real.perfect_rollback is None
+        assert not real.derives_perfect_bp
+        with pytest.raises(SimulationError, match="rollback record"):
             derive_perfect_bp(real)
+        # the perfect machine itself runs it: r14 rolled back with main
+        direct = capture_run(prog, "block", self.PERFECT)
+        assert direct.stats.outputs == [("i", 0)]
+
+    def test_op_limit_the_perfect_machine_exceeds_publishes_no_rollback(
+        self
+    ):
+        """compress fetches fewer ops under real prediction than a
+        perfect machine executes with its rolled-back variants. Between
+        the two, the real capture succeeds but publishes no rollback
+        record, and the direct perfect capture raises."""
+        prog = _pair("compress").block
+        direct = capture_run(prog, "block", self.PERFECT)
+        perfect_ops = direct.trace.op_uid[-1] + 1
+
+        def real_capture(op_limit: int) -> BlockExecutor:
+            predictor = BlockPredictor(
+                prog, self.REAL.bp_history_bits, self.REAL.bp_table_bits
+            )
+            executor = BlockExecutor(prog, predictor, op_limit=op_limit)
+            executor.capture()
+            return executor
+
+        under = real_capture(perfect_ops - 1)
+        assert under.stats.fetched_ops < perfect_ops - 1
+        assert under.perfect_rollback is None
+        with pytest.raises(ExecutionError, match="op limit"):
+            BlockExecutor(prog, op_limit=perfect_ops - 1).capture()
+        assert real_capture(perfect_ops).perfect_rollback is not None
+        BlockExecutor(prog, op_limit=perfect_ops).capture()
+
+    def test_cached_block_trace_without_rollback_falls_back_to_capture(
+        self, tmp_path
+    ):
+        """A real block trace cached before the rollback record existed
+        unpickles without one: the engine then captures the perfect
+        trace, counts it, and gets the derived run's result."""
+        spec = RunSpec("compress", "block", self.PERFECT)
+        derived = ExperimentEngine(
+            scale=SCALE, benchmarks=["compress"]
+        ).run(spec)
+
+        cache = ArtifactCache(tmp_path / "cache")
+        old = capture_run(_pair("compress").block, "block", self.REAL)
+        del old.perfect_rollback  # the pickled shape before the field
+        tel = Telemetry()
+        engine = ExperimentEngine(
+            scale=SCALE, benchmarks=["compress"], cache=cache, telemetry=tel
+        )
+        ckey = engine._compile_key("compress")
+        cache.store(trace_key(ckey, "block", self.REAL), old)
+        result = engine.run(spec)
+        assert not engine.captured_run(
+            RunSpec("compress", "block", self.REAL)
+        ).derives_perfect_bp
+        assert tel.metrics.get("plan.trace_captures") == 1
+        assert tel.metrics.get("plan.cache_hits", kind="trace") == 1
+        assert not [s for s in tel.spans.records if s.name == "sim.derive"]
+        assert dataclasses.asdict(result) == dataclasses.asdict(derived)
+        # the fallback stores the perfect trace like any captured one
+        assert cache.load(trace_key(ckey, "block", self.PERFECT)) is not None
 
     def test_engine_caches_only_the_real_trace(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
@@ -327,6 +448,20 @@ class TestPerfectDerivation:
         assert cache.load(
             trace_key(ckey, "conventional", self.PERFECT)
         ) is None
+
+    def test_engine_caches_only_the_real_block_trace(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        engine = ExperimentEngine(
+            scale=SCALE, benchmarks=["compress"], cache=cache
+        )
+        perfect = engine.captured_run(
+            RunSpec("compress", "block", self.PERFECT)
+        )
+        ckey = engine._compile_key("compress")
+        stored = cache.load(trace_key(ckey, "block", self.REAL))
+        assert stored.perfect_rollback is not None
+        assert derive_perfect_bp(stored) == perfect
+        assert cache.load(trace_key(ckey, "block", self.PERFECT)) is None
 
 
 # ---------------------------------------------------------------------------
