@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backend import EnlargeConfig
 from repro.core.toolchain import Toolchain
+from repro.engine import ExperimentEngine, RunSpec
 from repro.opt import InlineConfig
 from repro.sim.config import MachineConfig
 from repro.sim.run import simulate_block_structured, simulate_conventional
-from repro.sim.tracecache import simulate_conventional_with_trace_cache
+from repro.sim.tracecache import replay_with_trace_cache
 from repro.workloads import SUITE
 
 from benchmarks.conftest import bench_scale, run_once
@@ -24,10 +26,11 @@ def test_profile_guided_enlargement_rescues_go(benchmark):
     for smaller enlarged atomic blocks' — go is the motivating case."""
 
     def measure():
-        toolchain = Toolchain()
         source = SUITE["go"].source(bench_scale())
-        plain = toolchain.compile(source, "go")
-        guided = toolchain.compile_profile_guided(source, "go", min_bias=0.8)
+        plain = Toolchain().compile(source, "go")
+        guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.8)).compile(
+            source, "go"
+        )
         config = MachineConfig()
         conv = simulate_conventional(plain.conventional, config)
         block_plain = simulate_block_structured(plain.block, config)
@@ -88,13 +91,14 @@ def test_trace_cache_vs_block_enlargement(benchmark, bench):
     traces exceeds the small trace cache (gcc)."""
 
     def measure():
-        pair = Toolchain().compile(SUITE[bench].source(bench_scale()), bench)
+        engine = ExperimentEngine(scale=bench_scale())
         config = MachineConfig()
-        conv = simulate_conventional(pair.conventional, config)
-        with_tc, fetch = simulate_conventional_with_trace_cache(
-            pair.conventional, config
+        spec = RunSpec(bench, "conventional", config)
+        conv = engine.run(spec)
+        with_tc, fetch = replay_with_trace_cache(
+            engine.captured_run(spec), config
         )
-        block = simulate_block_structured(pair.block, config)
+        block = engine.run(RunSpec(bench, "block", config))
         return {
             "tc_pct": 100 * (conv.cycles - with_tc.cycles) / conv.cycles,
             "bs_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,

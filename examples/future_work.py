@@ -12,11 +12,13 @@ Run:  python examples/future_work.py [scale]
 
 import sys
 
+from repro.backend import EnlargeConfig
 from repro.core import Toolchain
+from repro.engine import ExperimentEngine, RunSpec
 from repro.opt import InlineConfig
 from repro.sim.config import MachineConfig
 from repro.sim.run import simulate_block_structured, simulate_conventional
-from repro.sim.tracecache import simulate_conventional_with_trace_cache
+from repro.sim.tracecache import replay_with_trace_cache
 from repro.workloads import SUITE
 
 
@@ -26,10 +28,11 @@ def reduction(conv_cycles: int, other_cycles: int) -> float:
 
 def profile_guided_demo(scale: float) -> None:
     print("\n--- 1. profile-guided enlargement (benchmark: go) ---")
-    toolchain = Toolchain()
     source = SUITE["go"].source(scale)
-    plain = toolchain.compile(source, "go")
-    guided = toolchain.compile_profile_guided(source, "go", min_bias=0.8)
+    plain = Toolchain().compile(source, "go")
+    guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.8)).compile(
+        source, "go"
+    )
     config = MachineConfig()
     conv = simulate_conventional(plain.conventional, config)
     for label, pair in (("unguided", plain), ("profile-guided", guided)):
@@ -63,13 +66,14 @@ def trace_cache_demo(scale: float) -> None:
     config = MachineConfig()
     print(f"{'bench':10s} {'conv':>10s} {'conv+TC':>10s} {'BS-ISA':>10s} "
           f"{'TC hit':>8s}")
+    engine = ExperimentEngine(scale=scale)
     for name in ("m88ksim", "perl", "gcc"):
-        pair = Toolchain().compile(SUITE[name].source(scale), name)
-        conv = simulate_conventional(pair.conventional, config)
-        with_tc, fetch = simulate_conventional_with_trace_cache(
-            pair.conventional, config
+        spec = RunSpec(name, "conventional", config)
+        conv = engine.run(spec)
+        with_tc, fetch = replay_with_trace_cache(
+            engine.captured_run(spec), config
         )
-        block = simulate_block_structured(pair.block, config)
+        block = engine.run(RunSpec(name, "block", config))
         print(f"{name:10s} {conv.cycles:10,d} {with_tc.cycles:10,d} "
               f"{block.cycles:10,d} {fetch.hit_rate:8.1%}")
     print("(the paper §3: the trace cache matches enlargement while traces "

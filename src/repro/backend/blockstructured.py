@@ -202,7 +202,11 @@ def emit_block_structured(
     name: str = "",
     config: EnlargeConfig | None = None,
     telemetry=None,
+    profile=None,
 ) -> BlockProgram:
+    """The BS-ISA image of allocated *functions*; *profile* is the
+    training run's branch profile of a profile-guided compile
+    (:func:`~repro.backend.enlarge.enlarge_function`)."""
     from repro.obs.telemetry import get_telemetry
 
     config = config or EnlargeConfig()
@@ -223,6 +227,7 @@ def emit_block_structured(
                 config,
                 is_library=mf.is_library,
                 restricted=continuations | {entry},
+                profile=profile,
             )
             if mf.is_library:
                 prog.library_functions.add(fname)

@@ -35,6 +35,10 @@ every layer against every other:
 Telemetry: one ``check.cosim{program=}`` span per checked program,
 ``check.programs`` counting programs, and
 ``check.violations{invariant=}`` counting failures by invariant name.
+The oracle's own simulations run under the disabled session and
+publish no ``sim.*`` series: a fuzz run checks hundreds of throwaway
+programs, and per-program labels would grow the caller's registry
+without bound.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from repro.core.toolchain import Toolchain
 from repro.errors import SourceError
 from repro.exec import interpret_module, run_block_structured, run_conventional
 from repro.insight import InsightCollector
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import DISABLED, Telemetry, get_telemetry
 from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.predictors import BlockPredictor, GsharePredictor
@@ -68,13 +72,6 @@ DEFAULT_MACHINE_CONFIGS: tuple[MachineConfig, ...] = (
     MachineConfig(),
     MachineConfig(perfect_bp=True),
 )
-
-#: The oracle's own simulations never publish `sim.*` series: a fuzz run
-#: checks hundreds of throwaway programs, and per-program labels would
-#: grow the session registry without bound. Only `check.*` series reach
-#: the caller's session.
-_SILENT = Telemetry(enabled=False, trace_capacity=1, span_capacity=1)
-
 
 @dataclass
 class CosimReport:
@@ -250,14 +247,14 @@ class CosimChecker:
             # One capture, replayed once per kernel: the sharpest
             # differential — both implementations consume the same
             # packed columns.
-            captured = capture_run(prog, isa, machine, _SILENT)
+            captured = capture_run(prog, isa, machine, DISABLED)
             if isa == "block" and not machine.perfect_bp:
                 self._check_perfect_derivation(
                     captured, prog, machine, where, fail
                 )
             collector = InsightCollector()
             result = replay_captured(
-                captured, machine, _SILENT,
+                captured, machine, DISABLED,
                 insight=collector, kernel="python",
             )
             if result.outputs != golden:
@@ -299,9 +296,9 @@ class CosimChecker:
                 f"perfect-prediction rollbacks to derive from",
             ))
             return
-        derived = derive_perfect_bp(captured, _SILENT)
+        derived = derive_perfect_bp(captured, DISABLED)
         direct = capture_run(
-            prog, "block", machine.with_perfect_bp(), _SILENT
+            prog, "block", machine.with_perfect_bp(), DISABLED
         )
         mismatched = [
             name for name, got, want in (
@@ -325,7 +322,7 @@ class CosimChecker:
         path-independent, invariants all green."""
         vec_collector = InsightCollector()
         vec_result = replay_captured(
-            captured, machine, _SILENT,
+            captured, machine, DISABLED,
             insight=vec_collector, kernel="numpy",
         )
         scalar = dataclasses.asdict(result)

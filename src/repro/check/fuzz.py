@@ -35,7 +35,7 @@ from typing import Callable
 
 from repro.check.cosim import CosimChecker, CosimReport
 from repro.check.genprog import GenConfig, generate_program
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import DISABLED, Telemetry, get_telemetry
 
 #: Upper bound on oracle evaluations per shrink (keeps a pathological
 #: failure from stalling the whole fuzz run).
@@ -230,7 +230,7 @@ class Fuzzer:
             probe = CosimChecker(
                 enlarge_variants=self.checker.enlarge_variants,
                 machine_configs=self.checker.machine_configs,
-                telemetry=_quiet(),
+                telemetry=DISABLED,
             ).check_source(candidate, "shrink-probe")
             return any(v.invariant in original for v in probe.violations)
 
@@ -275,16 +275,6 @@ class Fuzzer:
             )
         except OSError as exc:  # pragma: no cover - disk-full path
             self._say(f"cannot persist {failure.name}: {exc}")
-
-
-_QUIET: Telemetry | None = None
-
-
-def _quiet() -> Telemetry:
-    global _QUIET
-    if _QUIET is None:
-        _QUIET = Telemetry(enabled=False, trace_capacity=1, span_capacity=1)
-    return _QUIET
 
 
 def fuzz(

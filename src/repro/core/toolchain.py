@@ -127,7 +127,11 @@ class Toolchain:
 
         Machine lowering and register allocation run once; both emitters
         read the same allocated functions, and the block image gets its
-        own copy of the data segment.
+        own copy of the data segment. A profile-guided compile (paper
+        §6: ``enlarge.min_bias`` set) runs the conventional image once
+        as a training run between the two emitters, and enlargement
+        refuses to fork at traps whose measured bias is below
+        ``min_bias``; the conventional image is the plain one.
         """
         tel = self._tel()
         with tel.span("compile", module=name):
@@ -137,8 +141,14 @@ class Toolchain:
                 conv = conventional.emit_conventional(
                     functions, data, name, tel
                 )
+                profile = None
+                if self.enlarge.min_bias is not None:
+                    from repro.profile import collect_branch_profile
+
+                    with tel.span("compile.profile", module=name):
+                        profile = collect_branch_profile(conv)
                 block = blockstructured.emit_block_structured(
-                    functions, data.copy(), name, self.enlarge, tel
+                    functions, data.copy(), name, self.enlarge, tel, profile
                 )
         if tel.enabled:
             tel.metrics.gauge(
@@ -154,31 +164,6 @@ class Toolchain:
                 block.code_bytes / conv.code_bytes if conv.code_bytes else 0.0,
                 module=name,
             )
-        return CompiledPair(name, module, conv, block)
-
-    def compile_profile_guided(
-        self, source: str, name: str = "program", min_bias: float = 0.75
-    ) -> CompiledPair:
-        """Compile with profile-guided enlargement (paper §6).
-
-        Runs the conventional executable once as a training run, then
-        regenerates the BS-ISA image refusing to duplicate across traps
-        whose measured branch bias is below *min_bias*.
-        """
-        from dataclasses import replace
-
-        from repro.profile import collect_branch_profile
-
-        tel = self._tel()
-        module = self.compile_ir(source, name)
-        functions, data = lower_and_allocate(module, tel)
-        conv = conventional.emit_conventional(functions, data, name, tel)
-        with tel.span("compile.profile", module=name):
-            profile = collect_branch_profile(conv)
-        guided = replace(self.enlarge, profile=profile, min_bias=min_bias)
-        block = blockstructured.emit_block_structured(
-            functions, data.copy(), name, guided, tel
-        )
         return CompiledPair(name, module, conv, block)
 
     def compare(

@@ -19,8 +19,7 @@ session:
   executes only under real prediction, once per ISA: its
   perfect-prediction trace is derived from the real one
   (:func:`~repro.sim.run.derive_perfect_bp`) in a
-  ``sim.derive{benchmark,isa}`` span, unless a block real run carries
-  no rollback record;
+  ``sim.derive{benchmark,isa}`` span;
 * **runs** — simulation results are memoized by full-fidelity
   :class:`~repro.engine.spec.RunSpec` (the entire machine config
   participates in the key) and disk-cached by content address;
@@ -137,8 +136,8 @@ class ExperimentEngine:
 
     def _compile_key(self, name: str, source: str | None = None) -> str | None:
         """Disk-cache key of the compile of *name* (its registered
-        source, or *source*), or None if uncacheable."""
-        if self.cache is None or not self.toolchain_spec.cacheable:
+        source, or *source*), or None without a cache."""
+        if self.cache is None:
             return None
         if (name, source) not in self._compile_keys:
             self._compile_keys[name, source] = compile_key(
@@ -148,7 +147,7 @@ class ExperimentEngine:
 
     def _key(self, kind: str, spec: RunSpec) -> str | None:
         """Disk-cache key of *spec*'s ``trace``, ``run`` or ``insight``
-        artifact, or None if uncacheable."""
+        artifact, or None without a cache."""
         ckey = self._compile_key(spec.benchmark, spec.source)
         if ckey is None:
             return None
@@ -159,8 +158,8 @@ class ExperimentEngine:
         return insight_key(ckey, spec)
 
     def _load(self, kind: str, key: str | None):
-        """The artifact cached under *key* (None on a miss or when
-        uncacheable), counted as a ``plan.cache_hits``/``misses`` of
+        """The artifact cached under *key* (None on a miss or without a
+        cache), counted as a ``plan.cache_hits``/``misses`` of
         *kind*."""
         if key is None:
             return None
@@ -198,30 +197,27 @@ class ExperimentEngine:
 
         The memo key is *(benchmark, source, isa, predictor_key(config))*
         — one functional execution serves every machine config of an
-        icache / latency / window sweep. A perfect-prediction trace of
-        either ISA is derived (:func:`~repro.sim.run.derive_perfect_bp`)
-        from the real-prediction trace of the same predictor geometry,
-        which comes through these same tiers and is counted by the one
-        that served it; it is never captured or cached on its own. Only
-        a block real run that carries no rollback record (a step was
-        unproven, the perfect machine would exceed the op limit, or the
-        trace was cached before the record existed) leaves its perfect
-        trace to the memo → disk cache → capture path every real trace
-        takes.
+        icache / latency / window sweep. A real-prediction trace comes
+        from the memo, the disk cache or a capture, counted by the tier
+        that served it. A perfect-prediction trace of either ISA is
+        derived (:func:`~repro.sim.run.derive_perfect_bp`) from the
+        real-prediction trace of the same predictor geometry; it is
+        never captured or cached on its own. A block real run without a
+        rollback record (a step was unproven, or the perfect machine
+        would exceed the op limit) makes the derivation raise
+        :class:`~repro.errors.SimulationError`.
         """
         memo = _trace_memo(spec)
         tel = self._tel()
         if memo in self._traces:
             tel.count("plan.trace_reuse")
             return self._traces[memo]
-        captured = None
         if spec.config.perfect_bp:
             real = self.captured_run(
                 replace(spec, config=spec.config.with_perfect_bp(False))
             )
-            if real.derives_perfect_bp:
-                captured = derive_perfect_bp(real, tel)
-        if captured is None:
+            captured = derive_perfect_bp(real, tel)
+        else:
             tkey = self._key("trace", spec)
             captured = self._load("trace", tkey)
             if captured is None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 from repro.backend import EnlargeConfig
 from repro.core.toolchain import Toolchain
@@ -31,8 +31,10 @@ from repro.opt import IfConvertConfig, InlineConfig
 from repro.sim.config import MachineConfig
 
 #: Version of the cached-artifact layout. Bump when SimResult,
-#: CompiledPair, or any pickled structure changes shape.
-SCHEMA_VERSION = 2
+#: CompiledPair, or any pickled structure changes shape, or when a
+#: cached artifact of the old layout must never be read (3: every real
+#: BS-ISA trace carries ``perfect_rollback``).
+SCHEMA_VERSION = 3
 
 ISAS = ("conventional", "block")
 
@@ -82,19 +84,10 @@ class ToolchainSpec:
             if_convert=toolchain.if_convert,
         )
 
-    @property
-    def cacheable(self) -> bool:
-        """An attached branch profile is a training-run artifact, not a
-        config value — profile-guided compiles bypass the disk cache."""
-        return self.enlarge.profile is None
-
     def canonical(self) -> dict:
-        enlarge = self.enlarge
-        if enlarge.profile is not None:
-            enlarge = replace(enlarge, profile=None)
         return {
             "opt_level": self.opt_level,
-            "enlarge": asdict(enlarge),
+            "enlarge": asdict(self.enlarge),
             "inline": asdict(self.inline),
             "if_convert": asdict(self.if_convert),
         }
@@ -178,8 +171,7 @@ def trace_key(compile_digest: str, isa: str, config: MachineConfig) -> str:
     icache/latency/window sweep shares one trace artifact. Perfect
     prediction collapses the predictor geometry entirely. The engine
     stores no perfect-prediction trace: it derives that one from the
-    real-prediction trace, unless a BS-ISA real run carries no
-    rollback record (:attr:`repro.sim.run.CapturedRun.perfect_rollback`).
+    real-prediction trace (:func:`repro.sim.run.derive_perfect_bp`).
     """
     if config.perfect_bp:
         predictor: dict = {"perfect_bp": True}

@@ -155,10 +155,9 @@ def _rollback_uids(
 
     A rolled-back variant runs whole, so its whole length is consumed.
     The walk does not run it: an op past the fault that raises (a
-    malformed op, or a float-to-int conversion of an infinity or NaN)
-    would stop a direct perfect-prediction capture, but not this walk.
-    A walk longer than the program's block count revisits a block, so
-    it stops there.
+    malformed op) would stop a direct perfect-prediction capture, but
+    not this walk. A walk longer than the program's block count
+    revisits a block, so it stops there.
     """
     uids = 0
     for _ in range(len(prog.by_addr)):

@@ -52,13 +52,13 @@ import argparse
 import os
 import sys
 
+from repro.backend import EnlargeConfig
 from repro.core.toolchain import Toolchain
 from repro.engine import ArtifactCache, ExperimentEngine, RunSpec
 from repro.errors import ConfigError
 from repro.harness.experiments import ALL_EXPERIMENTS, SuiteRunner
 from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_block_structured, simulate_conventional
 from repro.workloads import (
     EXTRA,
     SUITE,
@@ -351,24 +351,30 @@ def _cmd_compile(args) -> int:
 
 
 def _simulate_pair(args, tel: Telemetry | None):
-    """Shared compile+simulate path for simulate/metrics/trace."""
-    workload = get_workload(args.workload)
-    toolchain = Toolchain(telemetry=tel)
-    source = workload.source(args.scale)
-    if getattr(args, "profile_guided", False):
-        pair = toolchain.compile_profile_guided(source, args.workload)
-    else:
-        pair = toolchain.compile(source, args.workload)
+    """Shared engine path for simulate/metrics/trace: both ISAs' runs of
+    one workload, and under ``--trace-cache`` its conventional capture
+    replayed again behind a trace cache."""
+    # paper §6: no duplication across traps less than 75% biased
+    guided = getattr(args, "profile_guided", False)
+    engine = ExperimentEngine(
+        scale=args.scale,
+        toolchain=Toolchain(
+            enlarge=EnlargeConfig(min_bias=0.75) if guided else None,
+            telemetry=tel,
+        ),
+        telemetry=tel,
+    )
     config = MachineConfig(
         perfect_bp=getattr(args, "perfect_bp", False)
     ).with_icache_kb(getattr(args, "icache_kb", 64))
-    conv = simulate_conventional(pair.conventional, config, telemetry=tel)
-    block = simulate_block_structured(pair.block, config, telemetry=tel)
+    conv_spec = RunSpec(args.workload, "conventional", config)
+    conv = engine.run(conv_spec)
+    block = engine.run(RunSpec(args.workload, "block", config))
     if getattr(args, "trace_cache", False):
-        from repro.sim.tracecache import simulate_conventional_with_trace_cache
+        from repro.sim.tracecache import replay_with_trace_cache
 
-        simulate_conventional_with_trace_cache(
-            pair.conventional, config, telemetry=tel
+        replay_with_trace_cache(
+            engine.captured_run(conv_spec), config, telemetry=tel
         )
     return conv, block
 

@@ -38,6 +38,7 @@ from repro.obs.metrics import (
 from repro.obs.schema import document_errors, validate_document
 from repro.obs.spans import NOOP_SPAN, Span, SpanRecord, SpanRecorder
 from repro.obs.telemetry import (
+    DISABLED,
     SCHEMA_ID,
     Telemetry,
     get_telemetry,
@@ -49,6 +50,7 @@ __all__ = [
     "ALL_EVENT_KINDS",
     "COUNTER",
     "DEFAULT_TRACE_CAPACITY",
+    "DISABLED",
     "EV_FAULT_SQUASH",
     "EV_FETCH",
     "EV_ICACHE_MISS",

@@ -129,10 +129,11 @@ class Telemetry:
             fh.write("\n")
 
 
-#: The disabled default: shared, never written to, costs one attribute
-#: check at call sites.
-_DISABLED = Telemetry(enabled=False, trace_capacity=1, span_capacity=1)
-_current: Telemetry = _DISABLED
+#: The disabled session: the process-wide default, and the one to pass
+#: where a caller's own work must publish nothing. Shared, never written
+#: to, costs one attribute check at call sites.
+DISABLED = Telemetry(enabled=False, trace_capacity=1, span_capacity=1)
+_current: Telemetry = DISABLED
 
 
 def get_telemetry() -> Telemetry:
@@ -145,7 +146,7 @@ def set_telemetry(telemetry: Telemetry | None) -> Telemetry:
     the previous session so callers can restore it."""
     global _current
     previous = _current
-    _current = telemetry if telemetry is not None else _DISABLED
+    _current = telemetry if telemetry is not None else DISABLED
     return previous
 
 

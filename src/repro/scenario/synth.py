@@ -35,7 +35,7 @@ from repro.engine.core import ExperimentEngine
 from repro.engine.spec import RunSpec
 from repro.isa.opcodes import OPCODE_INFO
 from repro.isa.program import LINE_BYTES, OP_BYTES, ConventionalProgram
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import DISABLED
 from repro.scenario.spec import (
     RealizedAxes,
     ScenarioSpec,
@@ -61,8 +61,6 @@ HOT_TOL = (0.70, 1.40)
 
 #: size of the pseudo-random operand pool in ``main``.
 DATA_N = 256
-
-_SILENT = Telemetry(enabled=False, trace_capacity=1, span_capacity=1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def hot_footprint_bytes(trace, coverage: float = HOT_COVERAGE) -> int:
 
 def _silent_engine() -> ExperimentEngine:
     # every program it runs comes as source text: scale is never read
-    return ExperimentEngine(scale=1.0, telemetry=_SILENT)
+    return ExperimentEngine(scale=1.0, telemetry=DISABLED)
 
 
 def measure_axes(

@@ -6,13 +6,16 @@ so "the compiler" and "the processor" can never disagree about what an
 ``add`` means.
 
 Integers are 64-bit two's complement; division truncates toward zero
-(C semantics); division/remainder by zero yields 0 (the simulated machine
+(C semantics); division/remainder by zero yields 0, and so does a
+float-to-int conversion of NaN or an infinity (the simulated machine
 does not trap — workloads never rely on this, but speculative wrong-path
 execution must not crash the simulator). Shift amounts are masked to
 0..63.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.ir.instructions import IrOp
 
@@ -123,5 +126,6 @@ def eval_unop(op: IrOp, a):
     if op is IrOp.ITOF:
         return float(int(a))
     if op is IrOp.FTOI:
-        return wrap64(int(float(a)))
+        a = float(a)
+        return wrap64(int(a)) if math.isfinite(a) else 0
     raise ValueError(f"{op} is not a unary op")

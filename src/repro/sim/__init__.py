@@ -35,13 +35,13 @@ from repro.sim.predictors import (
 from repro.sim.tracecache import (
     TraceCacheConfig,
     TraceCacheFetch,
-    simulate_conventional_with_trace_cache,
+    replay_with_trace_cache,
 )
 
 __all__ = [
     "TraceCacheConfig",
     "TraceCacheFetch",
-    "simulate_conventional_with_trace_cache",
+    "replay_with_trace_cache",
     "CacheConfig",
     "MachineConfig",
     "Cache",

@@ -164,7 +164,7 @@ class CapturedRun:
     #: a real-prediction block capture's
     #: :attr:`~repro.exec.block.BlockExecutor.perfect_rollback`, from
     #: which :func:`derive_perfect_bp` builds the perfect run. None
-    #: elsewhere, and in every trace cached before it existed.
+    #: elsewhere.
     perfect_rollback: array | None = None
 
     @property

@@ -16,25 +16,31 @@ mispredict flags — the whole trace is delivered in one fetch cycle.
 Otherwise the core fetch unit delivers one basic block per cycle and the
 fill unit learns the trace.
 
-Implemented as a stream transformer: it merges consecutive
-:class:`~repro.exec.trace.FetchUnit` records into one unit on a hit.
-The merged stream is packed with
-:meth:`~repro.sim.packed.PackedTrace.capture` and replayed by the
-ordinary :meth:`~repro.sim.engine.TimingEngine.run_packed`, unchanged.
+Implemented as a transform of a captured conventional run: on a hit it
+merges consecutive fetch units into one. Merging never reorders ops, so
+the transformed :class:`~repro.sim.packed.PackedTrace` gets new unit
+columns and shares the op columns of the capture; it starts with no
+replay prep, because its unit geometry is new. It replays through
+:func:`~repro.sim.run.replay_captured` like any capture, on either
+kernel.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, replace
 
-from repro.exec.trace import FetchUnit
-from repro.obs.telemetry import get_telemetry
+from repro.errors import SimulationError
+from repro.exec.trace import F_MISPREDICT, F_SQUASHED
+from repro.obs.telemetry import DISABLED, Telemetry, get_telemetry
 from repro.sim.config import MachineConfig
-from repro.sim.engine import TimingEngine
 from repro.sim.packed import PackedTrace
-from repro.sim.run import _conventional_executor, _conventional_result
+from repro.sim.run import CapturedRun, SimResult, replay_captured
+
+#: unit flags that end a trace: a fetch run stops at a misprediction or
+#: a squash in hardware too
+_ENDS_TRACE = F_MISPREDICT | F_SQUASHED
 
 
 @dataclass(frozen=True)
@@ -78,73 +84,62 @@ class TraceCacheFetch:
 
     # ------------------------------------------------------------------
 
-    def transform(self, units: Iterable[FetchUnit]) -> Iterator[FetchUnit]:
-        """Yield units, merging runs that hit in the trace cache."""
-        config = self.config
-        pending: list[FetchUnit] = []
+    def transform(self, trace: PackedTrace) -> PackedTrace:
+        """*trace* as fetched behind the trace cache.
 
-        def trace_of(run: list[FetchUnit]) -> tuple[int, ...]:
-            return tuple(u.addr for u in run[1:])
-
-        def mergeable(run: list[FetchUnit]) -> bool:
-            if len(run) < 2:
-                return False
-            if sum(len(u.ops) for u in run) > config.max_ops:
-                return False
-            # A trace must not extend past an in-trace misprediction or
-            # squash: those units end the fetch run in hardware too.
-            return not any(u.mispredict or u.squashed for u in run[:-1])
-
-        def merge(run: list[FetchUnit]) -> FetchUnit:
-            ops = [op for u in run for op in u.ops]
-            last = run[-1]
-            offset = sum(len(u.ops) for u in run[:-1])
-            resolve = (
-                offset + last.resolve_index if last.resolve_index >= 0 else -1
-            )
-            self.merged_units += 1
-            return FetchUnit(
-                run[0].addr,
-                sum(u.size_bytes for u in run),
-                ops,
-                mispredict=last.mispredict,
-                squashed=last.squashed,
-                resolve_index=resolve,
-                atomic=False,
-            )
-
-        def flush() -> Iterator[FetchUnit]:
-            """Resolve the pending run: hit -> merged unit; miss -> fill
-            the trace and emit the units one by one."""
-            if not pending:
-                return
-            head = pending[0]
-            self.lookups += 1
-            cached = self._lookup(head.addr)
+        The stream is cut into fetch runs, each ending after
+        ``max_blocks`` units, at ``max_ops`` ops or at a mispredicted or
+        squashed unit, and each looked up by its first address. A run of
+        two or more units within ``max_ops`` whose following addresses
+        match the cached trace becomes one unit; otherwise its units
+        pass through, and such a run fills the cache.
+        """
+        max_blocks, max_ops = self.config.max_blocks, self.config.max_ops
+        addr, size = trace.unit_addr, trace.unit_size
+        resolve, flags = trace.unit_resolve, trace.unit_flags
+        op_start = trace.unit_op_start
+        out = PackedTrace(
+            array("q"), array("q"), array("q"), array("B"), array("q", [0]),
+            trace.op_uid, trace.op_lat, trace.op_mem, trace.op_flags,
+            trace.op_dep_start, trace.deps,
+        )
+        n = len(addr)
+        first = 0
+        for end in range(1, n + 1):
+            ops = op_start[end] - op_start[first]
             if (
-                cached is not None
-                and cached == trace_of(pending)
-                and mergeable(pending)
+                end < n and end - first < max_blocks and ops < max_ops
+                and not flags[end - 1] & _ENDS_TRACE
             ):
-                self.hits += 1
-                yield merge(pending)
-            else:
-                if mergeable(pending):
-                    self._fill(head.addr, trace_of(pending))
-                yield from pending
-            pending.clear()
-
-        for unit in units:
-            pending.append(unit)
-            run_full = (
-                len(pending) >= config.max_blocks
-                or sum(len(u.ops) for u in pending) >= config.max_ops
-                or unit.mispredict
-                or unit.squashed
-            )
-            if run_full:
-                yield from flush()
-        yield from flush()
+                continue
+            self.lookups += 1
+            cached = self._lookup(addr[first])
+            follow = tuple(addr[first + 1:end])
+            # Only a run's last unit can end a trace, so no merged unit
+            # extends past a misprediction or squash.
+            if follow and ops <= max_ops:
+                if cached == follow:
+                    self.hits += 1
+                    self.merged_units += 1
+                    last = end - 1
+                    out.unit_addr.append(addr[first])
+                    out.unit_size.append(sum(size[first:end]))
+                    out.unit_resolve.append(
+                        op_start[last] - op_start[first] + resolve[last]
+                        if resolve[last] >= 0 else -1
+                    )
+                    out.unit_flags.append(flags[last] & _ENDS_TRACE)
+                    out.unit_op_start.append(op_start[end])
+                    first = end
+                    continue
+                self._fill(addr[first], follow)
+            out.unit_addr += addr[first:end]
+            out.unit_size += size[first:end]
+            out.unit_resolve += resolve[first:end]
+            out.unit_flags += flags[first:end]
+            out.unit_op_start += op_start[first + 1:end + 1]
+            first = end
+        return out
 
     @property
     def hit_rate(self) -> float:
@@ -160,32 +155,33 @@ class TraceCacheFetch:
         metrics.gauge("tracecache.hit_rate", self.hit_rate, **labels)
 
 
-def simulate_conventional_with_trace_cache(
-    prog,
-    machine_config=None,
+def replay_with_trace_cache(
+    captured: CapturedRun,
+    config: MachineConfig | None = None,
     trace_config: TraceCacheConfig | None = None,
-    telemetry=None,
-):
-    """Timed run of a conventional program behind a trace cache.
+    telemetry: Telemetry | None = None,
+    kernel: str = "auto",
+) -> tuple[SimResult, TraceCacheFetch]:
+    """Timed run of a captured conventional run behind a trace cache.
 
-    Returns ``(SimResult, TraceCacheFetch)`` — the fetch model carries
-    the hit/fill statistics. When a telemetry session is active its
-    ``tracecache.*`` counters are published under the benchmark label.
+    *config* must share the capture's
+    :func:`~repro.sim.run.predictor_key`, as for
+    :func:`~repro.sim.run.replay_captured`. Returns ``(SimResult,
+    TraceCacheFetch)``, the result labelled ``conventional+tc`` and the
+    fetch model carrying the hit/fill statistics. The replay publishes
+    nothing; when a telemetry session is active, the ``tracecache.*``
+    counters are published under the benchmark label.
     """
-    machine_config = machine_config or MachineConfig()
-    executor, predictor = _conventional_executor(prog, machine_config)
+    if captured.isa != "conventional":
+        raise SimulationError(
+            f"the trace cache fronts the conventional ISA, not "
+            f"{captured.isa!r}"
+        )
     fetch = TraceCacheFetch(trace_config)
-    trace = PackedTrace.capture(fetch.transform(executor.units()))
-    timing = TimingEngine(machine_config).run_packed(trace)
-    result = _conventional_result(
-        prog.name,
-        timing,
-        executor.stats,
-        predictor.accuracy if predictor is not None else 1.0,
-        prog.code_bytes,
-    )
+    merged = replace(captured, trace=fetch.transform(captured.trace))
+    result = replay_captured(merged, config, DISABLED, kernel=kernel)
     result.isa = "conventional+tc"
     tel = telemetry if telemetry is not None else get_telemetry()
     if tel.enabled:
-        fetch.publish(tel.metrics, benchmark=prog.name)
+        fetch.publish(tel.metrics, benchmark=captured.name)
     return result, fetch

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.backend import EnlargeConfig
 from repro.core.toolchain import Comparison, Toolchain
 from repro.engine import (
     ArtifactCache,
@@ -502,25 +503,33 @@ class TestArtifactCache:
         assert cache.clear() == 1
         assert cache.stats()["entries"] == 0
 
-    def test_profile_guided_toolchain_bypasses_disk(self, tmp_path):
-        class StubProfile:
-            def bias(self, label):
-                return 0.0
+    def test_profile_guided_compile_is_cached(self, tmp_path):
+        """A guided compile depends only on its source and options: its
+        key covers ``min_bias``, and a second session is served its
+        compile and its run from disk."""
+        guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.9))
+        spec = ToolchainSpec.from_toolchain(guided)
+        assert compile_key("compress", "x", spec) != compile_key(
+            "compress", "x", ToolchainSpec()
+        )
+        run = RunSpec("compress", "block")
 
-        spec = ToolchainSpec()
-        assert spec.cacheable
-        guided = dataclasses.replace(
-            spec.enlarge, profile=StubProfile(), min_bias=0.9
+        def session(tel=None) -> ExperimentEngine:
+            return ExperimentEngine(
+                scale=SCALE, toolchain=guided, telemetry=tel,
+                cache=ArtifactCache(tmp_path),
+            )
+
+        first = session().run(run)
+        tel = Telemetry()
+        engine = session(tel)
+        assert dataclasses.asdict(engine.run(run)) == dataclasses.asdict(
+            first
         )
-        assert not ToolchainSpec(enlarge=guided).cacheable
-        engine = ExperimentEngine(
-            scale=SCALE,
-            benchmarks=["compress"],
-            toolchain=Toolchain(enlarge=guided),
-            cache=ArtifactCache(tmp_path),
-        )
-        engine.run(RunSpec("compress", "conventional"))
-        assert ArtifactCache(tmp_path).stats()["entries"] == 0
+        engine.compiled("compress")
+        assert tel.metrics.get("plan.cache_hits", kind="run") == 1
+        assert tel.metrics.get("plan.cache_hits", kind="compile") == 1
+        assert not [s for s in tel.spans.records if s.name == "compile"]
 
 
 # ---------------------------------------------------------------------------

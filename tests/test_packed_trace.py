@@ -358,6 +358,21 @@ unproven:
         assert derive_perfect_bp(real) == direct
         assert direct.stats.outputs == [("i", 7)]
 
+    def test_rolled_back_float_to_int_of_infinity_does_not_trap(self):
+        """A rolled-back variant converts an infinity to an integer; the
+        machine does not trap, so both captures complete and the
+        derived perfect run equals the direct one."""
+        text = self.MIRRORED.replace(
+            "    putint r0\n",
+            "    fmovi f1, 1e308\n    fmul f2, f1, f1\n    cvtfi r15, f2\n",
+        )
+        prog = assemble_block_structured(text)
+        real = capture_run(prog, "block", self.REAL)
+        assert real.stats.blocks_squashed == 1
+        direct = capture_run(prog, "block", self.PERFECT)
+        assert real.stats.outputs == direct.stats.outputs == [("i", 7)]
+        assert derive_perfect_bp(real) == direct
+
     def test_unproven_fault_step_publishes_no_rollback(self):
         """A fault whose target is no mirrored sibling is not proven
         from the block structure: the real capture publishes no
@@ -403,17 +418,10 @@ unproven:
         assert real_capture(perfect_ops).perfect_rollback is not None
         BlockExecutor(prog, op_limit=perfect_ops).capture()
 
-    def test_cached_block_trace_without_rollback_falls_back_to_capture(
-        self, tmp_path
-    ):
-        """A real block trace cached before the rollback record existed
-        unpickles without one: the engine then captures the perfect
-        trace, counts it, and gets the derived run's result."""
-        spec = RunSpec("compress", "block", self.PERFECT)
-        derived = ExperimentEngine(
-            scale=SCALE, benchmarks=["compress"]
-        ).run(spec)
-
+    def test_cached_block_trace_without_rollback_raises(self, tmp_path):
+        """Every perfect spec is derived: a real block trace without a
+        rollback record (here one stored without the field) makes the
+        perfect run raise instead of executing the program again."""
         cache = ArtifactCache(tmp_path / "cache")
         old = capture_run(_pair("compress").block, "block", self.REAL)
         del old.perfect_rollback  # the pickled shape before the field
@@ -423,16 +431,10 @@ unproven:
         )
         ckey = engine._compile_key("compress")
         cache.store(trace_key(ckey, "block", self.REAL), old)
-        result = engine.run(spec)
-        assert not engine.captured_run(
-            RunSpec("compress", "block", self.REAL)
-        ).derives_perfect_bp
-        assert tel.metrics.get("plan.trace_captures") == 1
+        with pytest.raises(SimulationError, match="rollback record"):
+            engine.run(RunSpec("compress", "block", self.PERFECT))
         assert tel.metrics.get("plan.cache_hits", kind="trace") == 1
-        assert not [s for s in tel.spans.records if s.name == "sim.derive"]
-        assert dataclasses.asdict(result) == dataclasses.asdict(derived)
-        # the fallback stores the perfect trace like any captured one
-        assert cache.load(trace_key(ckey, "block", self.PERFECT)) is not None
+        assert not tel.metrics.get("plan.trace_captures")
 
     def test_engine_caches_only_the_real_trace(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 
-from repro.core.toolchain import Toolchain
+from repro.engine import ExperimentEngine, RunSpec
 from repro.harness.cli import main
 from repro.harness.perf import benchmark_suite, render, write_document
 from repro.obs import Telemetry
@@ -15,8 +15,7 @@ from repro.obs.schema import (
     BENCH_SCHEMA_ID,
     bench_document_errors,
 )
-from repro.sim.tracecache import simulate_conventional_with_trace_cache
-from repro.workloads import SUITE
+from repro.sim.tracecache import replay_with_trace_cache
 
 SCALE = 0.05
 
@@ -109,11 +108,16 @@ def test_cli_perf_rejects_unknown_benchmark():
 
 
 def test_tracecache_publish_reaches_registry():
-    pair = Toolchain().compile(SUITE["compress"].source(SCALE), "compress")
-    tel = Telemetry()
-    _, fetch = simulate_conventional_with_trace_cache(
-        pair.conventional, telemetry=tel
+    captured = ExperimentEngine(scale=SCALE).captured_run(
+        RunSpec("compress", "conventional")
     )
+    tel = Telemetry()
+    _, fetch = replay_with_trace_cache(captured, telemetry=tel)
+    # the replay behind the trace cache publishes nothing of its own
+    assert {s.name for s in tel.metrics.series()} == {
+        "tracecache.lookups", "tracecache.hits", "tracecache.fills",
+        "tracecache.merged_units", "tracecache.hit_rate",
+    }
     assert tel.metrics.get(
         "tracecache.lookups", benchmark="compress"
     ) == fetch.lookups

@@ -118,5 +118,14 @@ def test_conversions():
     assert eval_unop(IrOp.FTOI, -3.9) == -3
 
 
+def test_float_to_int_of_nan_or_infinity_yields_zero():
+    """The machine does not trap: like a division by zero, a conversion
+    with no integer value yields 0."""
+    for value in (float("inf"), float("-inf"), float("nan"), 1e308 * 1e308):
+        assert eval_unop(IrOp.FTOI, value) == 0
+    # finite values still wrap to 64 bits
+    assert eval_unop(IrOp.FTOI, 2.0**64 + 2**12) == 2**12
+
+
 def test_float_div_by_zero_yields_zero():
     assert eval_binop(IrOp.FDIV, 1.0, 0.0) == 0.0

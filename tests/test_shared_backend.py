@@ -62,9 +62,10 @@ def test_images_share_no_op_and_no_data_segment(name):
 
 
 def test_profile_guided_compile_uses_the_shared_step():
-    toolchain = Toolchain()
-    plain = toolchain.compile(BIASED_AND_UNBIASED, "bias")
-    guided = toolchain.compile_profile_guided(BIASED_AND_UNBIASED, "bias")
+    plain = Toolchain().compile(BIASED_AND_UNBIASED, "bias")
+    guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.75)).compile(
+        BIASED_AND_UNBIASED, "bias"
+    )
     assert_disjoint(guided)
     # the conventional side is the same shared lowering either way
     assert render_image(guided.conventional) == render_image(

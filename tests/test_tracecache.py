@@ -1,20 +1,27 @@
 """Trace-cache fetch-model tests (paper §3 comparison point)."""
 
-from repro.core.toolchain import Toolchain
+import pytest
+
+from repro.engine import ExperimentEngine, RunSpec
+from repro.errors import SimulationError
 from repro.exec.trace import DynOp, FetchUnit
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_conventional
+from repro.sim.packed import PackedTrace
 from repro.sim.tracecache import (
     TraceCacheConfig,
     TraceCacheFetch,
-    simulate_conventional_with_trace_cache,
+    replay_with_trace_cache,
 )
-from repro.workloads import SUITE
 
 
 def unit(addr, n_ops, uid0, **kw):
     ops = [DynOp(1, (), uid=uid0 + i) for i in range(n_ops)]
     return FetchUnit(addr, n_ops * 4, ops, **kw)
+
+
+def transform(fetch, units):
+    """*units* packed, merged by *fetch*, and read back as units."""
+    return list(fetch.transform(PackedTrace.capture(units)).units())
 
 
 def loop_stream(repeats=10):
@@ -30,7 +37,7 @@ def loop_stream(repeats=10):
 
 def test_ops_preserved_through_transform():
     fetch = TraceCacheFetch()
-    merged = list(fetch.transform(loop_stream()))
+    merged = transform(fetch, loop_stream())
     in_ops = sum(len(u.ops) for u in loop_stream())
     out_ops = sum(len(u.ops) for u in merged)
     assert in_ops == out_ops
@@ -40,7 +47,7 @@ def test_ops_preserved_through_transform():
 
 def test_repeating_trace_learns_then_hits():
     fetch = TraceCacheFetch()
-    merged = list(fetch.transform(loop_stream(10)))
+    merged = transform(fetch, loop_stream(10))
     assert fetch.fills >= 1
     assert fetch.hits >= 8  # first pass fills, later passes hit
     assert fetch.merged_units == fetch.hits
@@ -50,7 +57,7 @@ def test_repeating_trace_learns_then_hits():
 def test_trace_limits_respected():
     config = TraceCacheConfig(max_blocks=2, max_ops=8)
     fetch = TraceCacheFetch(config)
-    merged = list(fetch.transform(loop_stream(10)))
+    merged = transform(fetch, loop_stream(10))
     for u in merged:
         assert len(u.ops) <= 8
 
@@ -62,7 +69,7 @@ def test_mispredicted_unit_terminates_trace():
             u.mispredict = True
             u.resolve_index = len(u.ops) - 1
     fetch = TraceCacheFetch()
-    merged = list(fetch.transform(units))
+    merged = transform(fetch, units)
     # no merged unit may contain a misprediction before its last op
     for u in merged:
         if u.mispredict:
@@ -80,25 +87,50 @@ def test_capacity_eviction():
             for k in range(3):
                 units.append(unit(base + k * 0x20, 4, uid))
                 uid += 4
-    list(fetch.transform(units))
+    transform(fetch, units)
     assert fetch.hit_rate < 0.5
 
 
+def test_merged_trace_shares_the_op_columns():
+    """Merging never reorders ops: the merged trace gets new unit
+    columns only, and the merged units hold exactly the ops they
+    replace."""
+    trace = PackedTrace.capture(loop_stream(10))
+    merged = TraceCacheFetch().transform(trace)
+    assert merged.op_lat is trace.op_lat
+    assert merged.deps is trace.deps
+    assert merged.unit_addr is not trace.unit_addr
+    assert merged.num_units < trace.num_units
+    assert [op.uid for u in merged.units() for op in u.ops] == [
+        op.uid for u in trace.units() for op in u.ops
+    ]
+
+
 def test_timed_run_outputs_match_and_speed_up():
-    pair = Toolchain().compile(SUITE["m88ksim"].source(0.15), "m88k")
-    base = simulate_conventional(pair.conventional, MachineConfig())
-    with_tc, fetch = simulate_conventional_with_trace_cache(
-        pair.conventional, MachineConfig()
+    engine = ExperimentEngine(scale=0.15)
+    spec = RunSpec("m88ksim", "conventional", MachineConfig())
+    base = engine.run(spec)
+    with_tc, fetch = replay_with_trace_cache(
+        engine.captured_run(spec), MachineConfig()
     )
+    assert with_tc.isa == "conventional+tc"
     assert with_tc.outputs == base.outputs
     assert fetch.hit_rate > 0.2
     assert with_tc.cycles < base.cycles  # repetitive code: the TC helps
 
 
 def test_trace_cache_cannot_slow_fetch_dramatically():
-    pair = Toolchain().compile(SUITE["go"].source(0.1), "go")
-    base = simulate_conventional(pair.conventional, MachineConfig())
-    with_tc, _ = simulate_conventional_with_trace_cache(
-        pair.conventional, MachineConfig()
+    engine = ExperimentEngine(scale=0.1)
+    spec = RunSpec("go", "conventional", MachineConfig())
+    base = engine.run(spec)
+    with_tc, _ = replay_with_trace_cache(
+        engine.captured_run(spec), MachineConfig()
     )
     assert with_tc.cycles <= base.cycles * 1.05
+
+
+def test_trace_cache_fronts_only_the_conventional_isa():
+    engine = ExperimentEngine(scale=0.05)
+    captured = engine.captured_run(RunSpec("compress", "block"))
+    with pytest.raises(SimulationError, match="conventional ISA"):
+        replay_with_trace_cache(captured)
