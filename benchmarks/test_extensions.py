@@ -14,11 +14,21 @@ from repro.core.toolchain import Toolchain
 from repro.engine import ExperimentEngine, RunSpec
 from repro.opt import InlineConfig
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_block_structured, simulate_conventional
 from repro.sim.tracecache import replay_with_trace_cache
-from repro.workloads import SUITE
 
 from benchmarks.conftest import bench_scale, run_once
+
+
+def _engine(toolchain: Toolchain | None = None) -> ExperimentEngine:
+    return ExperimentEngine(scale=bench_scale(), toolchain=toolchain)
+
+
+def _results(engine: ExperimentEngine, name: str, config: MachineConfig):
+    """The conventional and BS-ISA results of *name* on *engine*."""
+    return (
+        engine.run(RunSpec(name, "conventional", config)),
+        engine.run(RunSpec(name, "block", config)),
+    )
 
 
 def test_profile_guided_enlargement_rescues_go(benchmark):
@@ -26,20 +36,16 @@ def test_profile_guided_enlargement_rescues_go(benchmark):
     for smaller enlarged atomic blocks' — go is the motivating case."""
 
     def measure():
-        source = SUITE["go"].source(bench_scale())
-        plain = Toolchain().compile(source, "go")
-        guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.8)).compile(
-            source, "go"
-        )
+        plain = _engine()
+        guided = _engine(Toolchain(enlarge=EnlargeConfig(min_bias=0.8)))
         config = MachineConfig()
-        conv = simulate_conventional(plain.conventional, config)
-        block_plain = simulate_block_structured(plain.block, config)
-        block_guided = simulate_block_structured(guided.block, config)
+        conv, block_plain = _results(plain, "go", config)
+        block_guided = guided.run(RunSpec("go", "block", config))
         return {
             "plain_pct": 100 * (conv.cycles - block_plain.cycles) / conv.cycles,
             "guided_pct": 100 * (conv.cycles - block_guided.cycles) / conv.cycles,
-            "plain_code_kb": plain.block.code_bytes / 1024,
-            "guided_code_kb": guided.block.code_bytes / 1024,
+            "plain_code_kb": plain.compiled("go").block.code_bytes / 1024,
+            "guided_code_kb": guided.compiled("go").block.code_bytes / 1024,
             "plain_misses": block_plain.timing.icache_misses,
             "guided_misses": block_guided.timing.icache_misses,
         }
@@ -59,16 +65,13 @@ def test_inlining_grows_enlarged_blocks(benchmark):
     block enlargement."""
 
     def measure():
-        source = SUITE["vortex"].source(bench_scale())
         config = MachineConfig()
         out = {}
         for label, toolchain in (
             ("plain", Toolchain()),
             ("inlined", Toolchain(inline=InlineConfig(enabled=True))),
         ):
-            pair = toolchain.compile(source, "vortex")
-            conv = simulate_conventional(pair.conventional, config)
-            block = simulate_block_structured(pair.block, config)
+            conv, block = _results(_engine(toolchain), "vortex", config)
             out[label] = {
                 "avg_block": block.avg_block_size,
                 "reduction_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,
@@ -91,7 +94,7 @@ def test_trace_cache_vs_block_enlargement(benchmark, bench):
     traces exceeds the small trace cache (gcc)."""
 
     def measure():
-        engine = ExperimentEngine(scale=bench_scale())
+        engine = _engine()
         config = MachineConfig()
         spec = RunSpec(bench, "conventional", config)
         conv = engine.run(spec)
@@ -122,15 +125,9 @@ def test_scientific_code_outlook(benchmark):
     """Paper §6: 'performance gains should be even greater for [scientific]
     code because the branches ... are more predictable and the basic
     blocks are larger.'"""
-    from repro.workloads import EXTRA
 
     def measure():
-        pair = Toolchain().compile(
-            EXTRA["scientific"].source(bench_scale()), "scientific"
-        )
-        config = MachineConfig()
-        conv = simulate_conventional(pair.conventional, config)
-        block = simulate_block_structured(pair.block, config)
+        conv, block = _results(_engine(), "scientific", MachineConfig())
         return {
             "reduction_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,
             "conv_bp": conv.bp_accuracy,
@@ -150,15 +147,9 @@ def test_dispatch_switch_workload(benchmark):
     """MiniC v2 exerciser: the switch dispatch tree's short biased
     comparison blocks are prime enlargement targets, so the BS-ISA win
     should hold on interpreter-shaped control flow."""
-    from repro.workloads import EXTRA
 
     def measure():
-        pair = Toolchain().compile(
-            EXTRA["dispatch"].source(bench_scale()), "dispatch"
-        )
-        config = MachineConfig()
-        conv = simulate_conventional(pair.conventional, config)
-        block = simulate_block_structured(pair.block, config)
+        conv, block = _results(_engine(), "dispatch", MachineConfig())
         return {
             "reduction_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,
             "avg_block": block.avg_block_size,
@@ -181,16 +172,13 @@ def test_if_conversion_compounds_with_enlargement(benchmark):
     from repro.opt import IfConvertConfig
 
     def measure():
-        source = SUITE["ijpeg"].source(bench_scale())
         config = MachineConfig()
         out = {}
         for label, toolchain in (
             ("plain", Toolchain()),
             ("predicated", Toolchain(if_convert=IfConvertConfig(enabled=True))),
         ):
-            pair = toolchain.compile(source, "ijpeg")
-            conv = simulate_conventional(pair.conventional, config)
-            block = simulate_block_structured(pair.block, config)
+            conv, block = _results(_engine(toolchain), "ijpeg", config)
             out[label] = {
                 "branches": conv.branch_events,
                 "reduction_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,

@@ -27,7 +27,10 @@ The vectorized replay is asserted bit-identical to the scalar one
 sweep to the per-config one (``sweep_match``), so the artifact doubles
 as an end-to-end correctness check: ``totals.stats_match`` is their
 conjunction and sets the exit code, and CI's perf-smoke job fails on
-any ``false``. The document is schema-versioned
+any ``false``. A replay the kernel declines runs the scalar loop and
+so matches by definition; ``vector_fallbacks`` counts those replays
+over the vector and sweep legs, and perf-smoke fails unless it is 0.
+The document is schema-versioned
 (:data:`~repro.obs.schema.BENCH_SCHEMA_ID`) and validated by
 ``python -m repro.obs.schema BENCH_sim.json``.
 
@@ -106,6 +109,7 @@ def benchmark_one(
             "trace_bytes": captured.trace.nbytes,
             "cycles": replayed.cycles,
         }
+        fallbacks = vector.FALLBACKS
         if time_vector:
             # A freshly shipped copy, as the sweep legs replay: a replay
             # of *captured* itself could be served by prep or a spine
@@ -126,6 +130,7 @@ def benchmark_one(
                 "numpy" if time_vector else "python", labels,
             )
         )
+        entry["vector_fallbacks"] = vector.FALLBACKS - fallbacks
         entries.append(entry)
     return entries
 
@@ -338,6 +343,8 @@ def render(doc: dict) -> str:
             if e.get("vector_match", True) and e.get("sweep_match", True)
             else "MISMATCH"
         )
+        if e.get("vector_fallbacks"):
+            match += f" ({e['vector_fallbacks']} scalar)"
         lines.append(
             f"{e['benchmark']:12s} {e['isa']:13s} {e['capture_s']:8.3f}s "
             f"{e['replay_s']:8.3f}s {vec_col} {sweep_col} {vec_x} "

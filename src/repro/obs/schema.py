@@ -226,6 +226,9 @@ def bench_document_errors(doc) -> list[str]:
         for field in ("vector_match", "sweep_match"):
             if field in entry and not isinstance(entry[field], bool):
                 errors.append(f"{where}: {field} must be a bool")
+        fallbacks = entry.get("vector_fallbacks", 0)
+        if type(fallbacks) is not int or fallbacks < 0:
+            errors.append(f"{where}: vector_fallbacks must be a non-negative int")
     totals = doc.get("totals")
     if not isinstance(totals, dict):
         errors.append("totals must be an object")

@@ -18,8 +18,9 @@ The design splits the replay into two ingredients:
   - ``PackedTrace._vprep`` holds what the op columns and the unit
     geometry decide, and a trace derived with new flags shares it
     (:meth:`~repro.sim.packed.PackedTrace.with_unit_flags`): the
-    spine's per-op ``(p1, p2, p3, lat)`` records and ``extras`` (the
-    producers past the third), the dcache access stream, the icache
+    spine's four flat per-op int lists (the first three producers and
+    the base latency; no per-op object) and ``extras`` (the producers
+    past the third), the dcache access stream, the icache
     line spans and their flat access stream (:func:`span_lines`), each
     stream's consecutive-duplicate dedup, the saturating stack
     distances per ``(line_bytes, num_sets)`` group
@@ -211,16 +212,6 @@ def _column_prep(trace: PackedTrace) -> dict:
         out[mask] = dep_col[dbase[mask] + k]
         return out
 
-    # The spine's per-op record: up to three producers plus the base
-    # latency in one tuple — a single list index in the hot loop.
-    ops = list(
-        zip(
-            nth_dep(0).tolist(),
-            nth_dep(1).tolist(),
-            nth_dep(2).tolist(),
-            lat.tolist(),
-        )
-    )
     extras = {
         int(i): dep_col[dbase[i] + 3:dep_start[i + 1]].tolist()
         for i in _np.flatnonzero(dep_count > 3)
@@ -230,7 +221,12 @@ def _column_prep(trace: PackedTrace) -> dict:
         "uos": uos,
         "uos_l": uos.tolist(),
         "nops": _np.diff(uos),
-        "ops": ops,
+        # The spine's flat per-op columns: the first three producers
+        # (-1 when absent) and the base latency.
+        "p1": nth_dep(0).tolist(),
+        "p2": nth_dep(1).tolist(),
+        "p3": nth_dep(2).tolist(),
+        "lat": lat.tolist(),
         "extras": extras,
         "dmask": dmask,
         "dacc": int(dmask.sum()),
@@ -404,9 +400,7 @@ def _dcache_prep(trace, base, cache, line_bytes):
             miss_load[base["dmask"]] = miss & base["dload"]
             prep = {
                 "misses": int(miss.sum()),
-                "miss_load_idx": tuple(
-                    int(i) for i in _np.flatnonzero(miss_load)
-                ),
+                "miss_load_idx": _np.flatnonzero(miss_load).tolist(),
             }
         trace._vprep[key] = prep
     return prep
@@ -477,18 +471,17 @@ def _fetch_prep(trace, ic, l2, fetch_lines):
 
 
 def _lat_prep(trace, base, dc, l2):
-    """Spine op tuples with dcache-miss l2 folded into the latency."""
+    """Spine op latencies with dcache-miss l2 folded in."""
     key = ("lat", l2, tuple(dc["miss_load_idx"]))
     prep = trace._vprep.get(key)
     if prep is None:
-        ops = base["ops"]
+        lat = base["lat"]
         idx = dc["miss_load_idx"]
         if idx:
-            ops = list(ops)
+            lat = lat.copy()
             for i in idx:
-                p1, p2, p3, lt = ops[i]
-                ops[i] = (p1, p2, p3, lt + l2)
-        prep = {"ops": ops}
+                lat[i] += l2
+        prep = {"lat": lat}
         trace._vprep[key] = prep
     return prep
 
@@ -657,7 +650,10 @@ def _conv_replay(config, base, fetch, lat, need_aux):
     adv_l = fetch["adv_l"]
     mis_l = base["mis_l"]
     res_l = base["res_l"]
-    ops = lat["ops"]
+    p1_l = base["p1"]
+    p2_l = base["p2"]
+    p3_l = base["p3"]
+    lat_l = lat["lat"]
     extras = base["extras"]
     ex_get = extras.get
     has_ex = bool(extras)
@@ -709,18 +705,20 @@ def _conv_replay(config, base, fetch, lat, need_aux):
         if unit_only:
             d1 = d + 1
             for i in range(lo, hi):
-                p1, p2, p3, lt = ops[i]
                 ready = d1
-                if p1 >= 0:
-                    t = c[p1]
+                p = p1_l[i]
+                if p >= 0:
+                    t = c[p]
                     if t > ready:
                         ready = t
-                    if p2 >= 0:
-                        t = c[p2]
+                    p = p2_l[i]
+                    if p >= 0:
+                        t = c[p]
                         if t > ready:
                             ready = t
-                        if p3 >= 0:
-                            t = c[p3]
+                        p = p3_l[i]
+                        if p >= 0:
+                            t = c[p]
                             if t > ready:
                                 ready = t
                             if has_ex:
@@ -741,7 +739,7 @@ def _conv_replay(config, base, fetch, lat, need_aux):
                         fulen += 4096
                     busy = fu[ready]
                 fu[ready] = busy + 1
-                ci = ready + lt
+                ci = ready + lat_l[i]
                 c[i] = ci
                 if ci >= rc:
                     rc = ci + 1
@@ -757,18 +755,20 @@ def _conv_replay(config, base, fetch, lat, need_aux):
                 v = op_release[i]
                 if v > d:
                     d = v
-                p1, p2, p3, lt = ops[i]
                 ready = d + 1
-                if p1 >= 0:
-                    t = c[p1]
+                p = p1_l[i]
+                if p >= 0:
+                    t = c[p]
                     if t > ready:
                         ready = t
-                    if p2 >= 0:
-                        t = c[p2]
+                    p = p2_l[i]
+                    if p >= 0:
+                        t = c[p]
                         if t > ready:
                             ready = t
-                        if p3 >= 0:
-                            t = c[p3]
+                        p = p3_l[i]
+                        if p >= 0:
+                            t = c[p]
                             if t > ready:
                                 ready = t
                             if has_ex:
@@ -789,7 +789,7 @@ def _conv_replay(config, base, fetch, lat, need_aux):
                         fulen += 4096
                     busy = fu[ready]
                 fu[ready] = busy + 1
-                ci = ready + lt
+                ci = ready + lat_l[i]
                 c[i] = ci
                 if ci >= rc:
                     rc = ci + 1
@@ -844,7 +844,10 @@ def _block_replay(config, base, fetch, lat, need_aux):
     sq_l = base["sq_l"]
     mis_l = base["mis_l"]
     res_l = base["res_l"]
-    ops = lat["ops"]
+    p1_l = base["p1"]
+    p2_l = base["p2"]
+    p3_l = base["p3"]
+    lat_l = lat["lat"]
     extras = base["extras"]
     ex_get = extras.get
     has_ex = bool(extras)
@@ -900,18 +903,20 @@ def _block_replay(config, base, fetch, lat, need_aux):
         d01 = d0 + 1
         bl = 0
         for i in range(lo, hi):
-            p1, p2, p3, lt = ops[i]
             ready = d01
-            if p1 >= 0:
-                t = c[p1]
+            p = p1_l[i]
+            if p >= 0:
+                t = c[p]
                 if t > ready:
                     ready = t
-                if p2 >= 0:
-                    t = c[p2]
+                p = p2_l[i]
+                if p >= 0:
+                    t = c[p]
                     if t > ready:
                         ready = t
-                    if p3 >= 0:
-                        t = c[p3]
+                    p = p3_l[i]
+                    if p >= 0:
+                        t = c[p]
                         if t > ready:
                             ready = t
                         if has_ex:
@@ -932,7 +937,7 @@ def _block_replay(config, base, fetch, lat, need_aux):
                     fulen += 4096
                 busy = fu[ready]
             fu[ready] = busy + 1
-            ci = ready + lt
+            ci = ready + lat_l[i]
             c[i] = ci
             if ci > bl:
                 bl = ci

@@ -6,6 +6,7 @@ pinned by ``tests/test_result_goldens.py``."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import pickle
@@ -513,10 +514,34 @@ class TestDerivedPrep:
             replay_captured(
                 derived, MachineConfig().with_perfect_bp(), kernel="numpy"
             )
-            assert real.trace._vprep["cols"]["ops"]
-            assert derived.trace._vflags["ops"] is real.trace._vflags["ops"]
+            for key in ("p1", "p2", "p3", "lat"):
+                assert real.trace._vprep["cols"][key]
+                assert derived.trace._vflags[key] is real.trace._vflags[key]
             assert real.trace._vflags["redirects"] > 0
             assert derived.trace._vflags["redirects"] == 0
+
+    @pytest.mark.skipif(not vector.HAVE_NUMPY, reason="numpy not installed")
+    @pytest.mark.parametrize("isa", ["conventional", "block"])
+    def test_base_prep_builds_no_per_op_objects(self, isa):
+        """The replay prep holds the spine's per-op inputs in flat int
+        lists, so on a fresh capture of tens of thousands of ops it
+        leaves fewer than 100 new GC-tracked objects; a derived
+        conventional trace reuses its parent's lists."""
+        real = capture_run(getattr(_pair("ijpeg"), isa), isa, MachineConfig())
+        assert real.trace.num_ops > 10_000
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            base = vector._base_prep(real.trace)
+            assert len(gc.get_objects()) - before < 100
+        finally:
+            gc.enable()
+        if isa == "conventional":
+            derived = vector._base_prep(derive_perfect_bp(real).trace)
+            for key in ("p1", "p2", "p3", "lat"):
+                assert len(base[key]) == real.trace.num_ops
+                assert derived[key] is base[key]
 
     def test_thawed_traces_start_empty(self):
         real = capture_run(

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.engine import ExperimentEngine, RunSpec
 from repro.harness.cli import main
 from repro.harness.perf import benchmark_suite, render, write_document
@@ -15,6 +17,8 @@ from repro.obs.schema import (
     BENCH_SCHEMA_ID,
     bench_document_errors,
 )
+from repro.sim import vector
+from repro.sim.config import MachineConfig
 from repro.sim.tracecache import replay_with_trace_cache
 
 SCALE = 0.05
@@ -44,6 +48,29 @@ def test_bench_schema_rejects_malformed():
     errors = bench_document_errors(doc)
     assert len(errors) == 3
     assert bench_document_errors([]) == ["document must be a JSON object"]
+
+
+@pytest.mark.skipif(not vector.HAVE_NUMPY, reason="numpy not installed")
+def test_vector_fallbacks_count_declined_replays():
+    """A replay the kernel declines runs on the scalar loop, so its
+    vector_match reads true; vector_fallbacks counts it. compress has
+    conventional units longer than an 8-op window, which the
+    conventional kernel declines and the BS-ISA kernel replays."""
+    doc = benchmark_suite(
+        ["compress"], SCALE, MachineConfig(window_ops=8), kernel="numpy"
+    )
+    assert bench_document_errors(doc) == []
+    assert doc["totals"]["stats_match"] is True
+    conv, block = doc["benchmarks"]
+    # the vector leg, then every sweep point per config and batched
+    assert conv["vector_fallbacks"] == 1 + 2 * conv["sweep_points"]
+    assert block["vector_fallbacks"] == 0
+    assert f"ok ({conv['vector_fallbacks']} scalar)" in render(doc)
+    for bad in (-1, 1.0, True, "0"):
+        conv["vector_fallbacks"] = bad
+        assert bench_document_errors(doc) == [
+            "benchmarks[0]: vector_fallbacks must be a non-negative int"
+        ]
 
 
 def test_perf_spans_recorded_with_enabled_telemetry():
