@@ -13,35 +13,28 @@ import pytest
 
 from repro.backend.enlarge import EnlargeConfig
 from repro.core.toolchain import Toolchain
+from repro.engine import ExperimentEngine, RunSpec
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_block_structured, simulate_conventional
-from repro.workloads import SUITE
 
 from benchmarks.conftest import bench_scale, run_once
 
 _BENCHES = ("m88ksim", "gcc")
-_sources = {}
 _conv_cycles = {}
-
-
-def source_of(name):
-    if name not in _sources:
-        _sources[name] = SUITE[name].source(bench_scale())
-    return _sources[name]
 
 
 def conv_cycles(name):
     if name not in _conv_cycles:
-        pair = Toolchain().compile(source_of(name), name)
-        _conv_cycles[name] = simulate_conventional(
-            pair.conventional, MachineConfig()
+        _conv_cycles[name] = ExperimentEngine(scale=bench_scale()).run(
+            RunSpec(name, "conventional", MachineConfig())
         ).cycles
     return _conv_cycles[name]
 
 
 def block_cycles(name, enlarge: EnlargeConfig, config: MachineConfig = None):
-    pair = Toolchain(enlarge=enlarge).compile(source_of(name), name)
-    return simulate_block_structured(pair.block, config or MachineConfig())
+    engine = ExperimentEngine(
+        scale=bench_scale(), toolchain=Toolchain(enlarge=enlarge)
+    )
+    return engine.run(RunSpec(name, "block", config or MachineConfig()))
 
 
 def reduction(name, enlarge, config=None):

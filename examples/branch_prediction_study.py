@@ -12,15 +12,13 @@ Run:  python examples/branch_prediction_study.py [scale]
 
 import sys
 
-from repro.core import Toolchain
+from repro.engine import ExperimentEngine
+from repro.errors import ConfigError
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_block_structured, simulate_conventional
-from repro.workloads import SUITE
+from repro.workloads import SUITE, parse_scale
 
 
-def study(name: str, scale: float) -> None:
-    toolchain = Toolchain()
-    pair = toolchain.compile(SUITE[name].source(scale), name)
+def study(engine: ExperimentEngine, name: str) -> None:
     print(f"\n### {name}  ({SUITE[name].description})")
     print(f"{'predictor':22s} {'conv cycles':>12s} {'bs cycles':>12s} "
           f"{'reduction':>10s} {'conv bp':>8s} {'bs bp':>7s} {'squash':>7s}")
@@ -31,20 +29,24 @@ def study(name: str, scale: float) -> None:
         ("perfect", MachineConfig(perfect_bp=True)),
     ]
     for label, config in configs:
-        conv = simulate_conventional(pair.conventional, config)
-        block = simulate_block_structured(pair.block, config)
-        reduction = 100.0 * (conv.cycles - block.cycles) / conv.cycles
+        # perfect prediction is derived from the 12-bit captures
+        cmp = engine.compare(name, config)
+        conv, block = cmp.conventional, cmp.block
         print(f"{label:22s} {conv.cycles:12,d} {block.cycles:12,d} "
-              f"{reduction:+9.1f}% {conv.bp_accuracy:8.3f} "
+              f"{cmp.reduction_pct:+9.1f}% {conv.bp_accuracy:8.3f} "
               f"{block.bp_accuracy:7.3f} {block.squashed_blocks:7d}")
 
 
 def main() -> None:
-    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
+    try:
+        scale = parse_scale(sys.argv[1], "scale") if sys.argv[1:] else 0.5
+    except ConfigError as exc:
+        sys.exit(f"usage: branch_prediction_study.py [scale]: {exc}")
     print("How prediction quality moves the block-structured advantage")
     print("(paper: +12.3% real prediction -> +19.1% perfect prediction)")
-    study("m88ksim", scale)
-    study("gcc", scale)
+    engine = ExperimentEngine(scale=scale)
+    study(engine, "m88ksim")
+    study(engine, "gcc")
     print(
         "\nReading: on the predictable interpreter the BS-ISA wins at any\n"
         "history length; on gcc's unpredictable branches, fault\n"

@@ -13,50 +13,44 @@ Run:  python examples/future_work.py [scale]
 import sys
 
 from repro.backend import EnlargeConfig
-from repro.core import Toolchain
+from repro.core import Comparison, Toolchain
 from repro.engine import ExperimentEngine, RunSpec
-from repro.opt import InlineConfig
+from repro.errors import ConfigError
+from repro.opt import IfConvertConfig, InlineConfig
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_block_structured, simulate_conventional
 from repro.sim.tracecache import replay_with_trace_cache
-from repro.workloads import SUITE
-
-
-def reduction(conv_cycles: int, other_cycles: int) -> float:
-    return 100.0 * (conv_cycles - other_cycles) / conv_cycles
+from repro.workloads import parse_scale
 
 
 def profile_guided_demo(scale: float) -> None:
     print("\n--- 1. profile-guided enlargement (benchmark: go) ---")
-    source = SUITE["go"].source(scale)
-    plain = Toolchain().compile(source, "go")
-    guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.8)).compile(
-        source, "go"
+    plain = ExperimentEngine(scale=scale)
+    guided = ExperimentEngine(
+        scale=scale, toolchain=Toolchain(enlarge=EnlargeConfig(min_bias=0.8))
     )
     config = MachineConfig()
-    conv = simulate_conventional(plain.conventional, config)
-    for label, pair in (("unguided", plain), ("profile-guided", guided)):
-        block = simulate_block_structured(pair.block, config)
-        print(f"{label:16s} code={pair.block.code_bytes // 1024:3d}KB "
+    conv = plain.run(RunSpec("go", "conventional", config))
+    for label, engine in (("unguided", plain), ("profile-guided", guided)):
+        block = engine.run(RunSpec("go", "block", config))
+        code = engine.compiled("go").block.code_bytes
+        print(f"{label:16s} code={code // 1024:3d}KB "
               f"icache misses={block.timing.icache_misses:6d} "
-              f"reduction={reduction(conv.cycles, block.cycles):+6.1f}%")
+              f"reduction={Comparison(conv, block).reduction_pct:+6.1f}%")
     print("(the paper: go LOST 1.5% from duplication; refusing to fork at "
           "unbiased branches recovers it)")
 
 
 def inlining_demo(scale: float) -> None:
     print("\n--- 2. inlining (benchmark: vortex, call-heavy) ---")
-    source = SUITE["vortex"].source(scale)
-    config = MachineConfig()
     for label, toolchain in (
         ("calls kept", Toolchain()),
         ("inlined", Toolchain(inline=InlineConfig(enabled=True))),
     ):
-        pair = toolchain.compile(source, "vortex")
-        conv = simulate_conventional(pair.conventional, config)
-        block = simulate_block_structured(pair.block, config)
-        print(f"{label:16s} avg fetched block={block.avg_block_size:5.2f} ops "
-              f"reduction={reduction(conv.cycles, block.cycles):+6.1f}%")
+        engine = ExperimentEngine(scale=scale, toolchain=toolchain)
+        cmp = engine.compare("vortex")
+        print(f"{label:16s} avg fetched block="
+              f"{cmp.block.avg_block_size:5.2f} ops "
+              f"reduction={cmp.reduction_pct:+6.1f}%")
     print("(the paper: calls/returns were the main reason enlarged blocks "
           "stayed at 8.2 of 16 ops)")
 
@@ -81,44 +75,37 @@ def trace_cache_demo(scale: float) -> None:
           "see gcc)")
 
 
-
-
 def predication_demo(scale: float) -> None:
-    from repro.opt import IfConvertConfig
-
     print("\n--- 4. predicated execution (benchmark: ijpeg) ---")
-    source = SUITE["ijpeg"].source(scale)
-    config = MachineConfig()
     for label, toolchain in (
         ("branches kept", Toolchain()),
         ("if-converted", Toolchain(if_convert=IfConvertConfig(enabled=True))),
     ):
-        pair = toolchain.compile(source, "ijpeg")
-        conv = simulate_conventional(pair.conventional, config)
-        block = simulate_block_structured(pair.block, config)
-        print(f"{label:16s} dynamic branches={conv.branch_events:6d} "
-              f"reduction={reduction(conv.cycles, block.cycles):+6.1f}%")
+        engine = ExperimentEngine(scale=scale, toolchain=toolchain)
+        cmp = engine.compare("ijpeg")
+        print(f"{label:16s} "
+              f"dynamic branches={cmp.conventional.branch_events:6d} "
+              f"reduction={cmp.reduction_pct:+6.1f}%")
     print("(the paper §6: eliminating branches that jump around small code "
           "creates larger basic blocks for enlargement to merge)")
 
 
 def scientific_demo(scale: float) -> None:
-    from repro.workloads import EXTRA
-
     print("\n--- 5. scientific code (the paper's closing prediction) ---")
-    pair = Toolchain().compile(EXTRA["scientific"].source(scale), "sci")
-    config = MachineConfig()
-    conv = simulate_conventional(pair.conventional, config)
-    block = simulate_block_structured(pair.block, config)
+    cmp = ExperimentEngine(scale=scale).compare("scientific")
+    conv, block = cmp.conventional, cmp.block
     print(f"FP kernels: bp={conv.bp_accuracy:.3f} "
           f"avg block {conv.avg_block_size:.1f} -> {block.avg_block_size:.1f} "
-          f"reduction={reduction(conv.cycles, block.cycles):+.1f}%")
+          f"reduction={cmp.reduction_pct:+.1f}%")
     print("(paper §6: 'should be even greater than the gains achieved for "
           "the SPECint95 benchmarks')")
 
 
 def main() -> None:
-    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
+    try:
+        scale = parse_scale(sys.argv[1], "scale") if sys.argv[1:] else 0.5
+    except ConfigError as exc:
+        sys.exit(f"usage: future_work.py [scale]: {exc}")
     profile_guided_demo(scale)
     inlining_demo(scale)
     trace_cache_demo(scale)

@@ -12,33 +12,32 @@ Run:  python examples/icache_study.py [scale]
 
 import sys
 
-from repro.core import Toolchain
+from repro.engine import ExperimentEngine, RunSpec
+from repro.errors import ConfigError
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_block_structured, simulate_conventional
-from repro.workloads import SUITE
+from repro.workloads import parse_scale
 
 SIZES_KB = (16, 32, 64, None)  # None = perfect
 
 
-def study(name: str, scale: float) -> None:
-    toolchain = Toolchain()
-    pair = toolchain.compile(SUITE[name].source(scale), name)
+def study(engine: ExperimentEngine, name: str) -> None:
+    pair = engine.compiled(name)
     conv_kb = pair.conventional.code_bytes / 1024
     block_kb = pair.block.code_bytes / 1024
     print(f"\n### {name}: static code {conv_kb:.1f} KB conventional, "
           f"{block_kb:.1f} KB block-structured "
           f"({pair.code_expansion:.2f}x duplication)")
 
-    rows = {}
-    for isa, prog, simulate in (
-        ("conventional", pair.conventional, simulate_conventional),
-        ("block", pair.block, simulate_block_structured),
-    ):
-        cycles = {}
-        for kb in SIZES_KB:
-            config = MachineConfig().with_icache_kb(kb)
-            cycles[kb] = simulate(prog, config)
-        rows[isa] = cycles
+    # one capture per ISA, replayed under every icache size
+    rows = {
+        isa: {
+            kb: engine.run(
+                RunSpec(name, isa, MachineConfig().with_icache_kb(kb))
+            )
+            for kb in SIZES_KB
+        }
+        for isa in ("conventional", "block")
+    }
 
     print(f"{'isa':14s} " + " ".join(
         f"{(str(kb) + 'KB') if kb else 'perfect':>12s}" for kb in SIZES_KB
@@ -61,11 +60,15 @@ def study(name: str, scale: float) -> None:
 
 
 def main() -> None:
-    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
+    try:
+        scale = parse_scale(sys.argv[1], "scale") if sys.argv[1:] else 0.5
+    except ConfigError as exc:
+        sys.exit(f"usage: icache_study.py [scale]: {exc}")
     print("Code duplication vs icache capacity "
           "(paper Figures 6 and 7; go loses 1.5% overall at 64 KB)")
+    engine = ExperimentEngine(scale=scale)
     for name in ("compress", "gcc", "go"):
-        study(name, scale)
+        study(engine, name)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro.core import Toolchain
+from repro.engine import ExperimentEngine
 from repro.sim.config import MachineConfig
 
 SOURCE = """
@@ -40,8 +40,8 @@ void main() {
 
 
 def main() -> None:
-    toolchain = Toolchain()
-    pair = toolchain.compile(SOURCE, "quickstart")
+    engine = ExperimentEngine()
+    pair = engine.compiled("quickstart", SOURCE)
 
     print("=== static code ===")
     print(f"conventional ISA : {len(pair.conventional.ops):5d} ops "
@@ -52,7 +52,7 @@ def main() -> None:
           f"{pair.code_expansion:.2f}x expansion from block enlargement)")
 
     print("\n=== timed comparison (paper's machine: 16-wide, 64KB icache) ===")
-    result = toolchain.compare(pair, MachineConfig())
+    result = engine.compare("quickstart", MachineConfig(), SOURCE)
     for r in (result.conventional, result.block):
         print(f"{r.isa:16s} cycles={r.cycles:8,d}  IPC={r.ipc:5.2f}  "
               f"avg fetched block={r.avg_block_size:5.2f} ops  "

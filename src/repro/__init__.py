@@ -8,13 +8,13 @@ predictor, a cycle-level timing simulator, the SPECint95 stand-in
 workload suite, and the harness regenerating every table and figure of
 the paper's evaluation.
 
-Start at :mod:`repro.core`::
+Start at :mod:`repro.core` and :mod:`repro.engine`::
 
-    from repro.core import Toolchain
+    from repro.engine import ExperimentEngine
 
-    tc = Toolchain()
-    pair = tc.compile(source, "demo")
-    result = tc.compare(pair)
+    engine = ExperimentEngine()
+    pair = engine.compiled("demo", source)
+    result = engine.compare("demo", source=source)
     print(result.reduction_pct)
 
 See README.md for the map, DESIGN.md for the system inventory and

@@ -1,12 +1,13 @@
 """Public high-level API.
 
-::
+:class:`Toolchain` compiles MiniC for both ISAs; the experiment engine
+runs the timed :class:`Comparison` of a program::
 
-    from repro.core import Toolchain
+    from repro.engine import ExperimentEngine
 
-    tc = Toolchain()
-    pair = tc.compile(source, name="demo")
-    result = tc.compare(pair)
+    engine = ExperimentEngine()
+    pair = engine.compiled("demo", source)
+    result = engine.compare("demo", source=source)
     print(result.speedup)
 """
 
@@ -17,7 +18,6 @@ from repro.core.toolchain import (
     compile_block_structured,
     compile_conventional,
     compile_pair,
-    compare_isas,
 )
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "compile_conventional",
     "compile_block_structured",
     "compile_pair",
-    "compare_isas",
 ]

@@ -1,9 +1,10 @@
-"""High-level toolchain: MiniC source → both executables → comparison.
+"""High-level toolchain: MiniC source → both executables.
 
-This is the API the examples and the benchmark harness use. Both
-executables come from one optimized IR module — the paper's controlled
-comparison (§5: "this eliminated any unfair compiler advantages one ISA
-may have had over the other").
+Both executables come from one optimized IR module — the paper's
+controlled comparison (§5: "this eliminated any unfair compiler
+advantages one ISA may have had over the other"). The timed
+:class:`Comparison` of the pair comes from
+:meth:`repro.engine.ExperimentEngine.compare`.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from repro.opt import (
     optimize_module,
     remove_uncalled_functions,
 )
-from repro.sim.config import MachineConfig
-from repro.sim.run import (
-    SimResult,
-    simulate_block_structured,
-    simulate_conventional,
-)
+from repro.sim.run import SimResult
 
 
 @dataclass
@@ -75,7 +71,7 @@ class Comparison:
 
 
 class Toolchain:
-    """Compiles MiniC for both ISAs and runs timed comparisons."""
+    """Compiles MiniC for both ISAs."""
 
     def __init__(
         self,
@@ -166,19 +162,6 @@ class Toolchain:
             )
         return CompiledPair(name, module, conv, block)
 
-    def compare(
-        self, pair: CompiledPair, config: MachineConfig | None = None
-    ) -> Comparison:
-        """Run timed simulations of both executables."""
-        config = config or MachineConfig()
-        tel = self._tel()
-        return Comparison(
-            conventional=simulate_conventional(
-                pair.conventional, config, telemetry=tel
-            ),
-            block=simulate_block_structured(pair.block, config, telemetry=tel),
-        )
-
 
 def compile_conventional(
     source: str, name: str = "program", opt_level: int = 2
@@ -205,15 +188,3 @@ def compile_pair(
 ) -> CompiledPair:
     """One-shot: MiniC source → both executables."""
     return Toolchain(opt_level, enlarge).compile(source, name)
-
-
-def compare_isas(
-    source: str,
-    name: str = "program",
-    config: MachineConfig | None = None,
-    opt_level: int = 2,
-    enlarge: EnlargeConfig | None = None,
-) -> Comparison:
-    """One-shot: compile for both ISAs and run the timed comparison."""
-    toolchain = Toolchain(opt_level, enlarge)
-    return toolchain.compare(toolchain.compile(source, name), config)

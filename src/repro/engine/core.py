@@ -29,7 +29,8 @@ session:
   :func:`~repro.engine.executor.replay_group`, serially or — with
   ``jobs > 1`` and at least two groups — across a process pool,
   merging worker telemetry back into the session in deterministic plan
-  order. :meth:`run` is the same path for one spec.
+  order. :meth:`run` is the same path for one spec, and :meth:`compare`
+  runs it once per ISA: the public API's controlled comparison.
 
 Plan-level telemetry: ``plan.runs_total`` / ``plan.runs_deduped``
 counters per execution,
@@ -47,11 +48,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.toolchain import CompiledPair, Toolchain
+from repro.core.toolchain import CompiledPair, Comparison, Toolchain
 from repro.engine.cache import ArtifactCache
 from repro.engine.executor import execute_parallel_groups, replay_group
 from repro.engine.plan import RunPlan
 from repro.engine.spec import (
+    ISAS,
     RunSpec,
     ToolchainSpec,
     compile_key,
@@ -59,20 +61,29 @@ from repro.engine.spec import (
     run_key,
     trace_key,
 )
+from repro.errors import ConfigError
 from repro.insight import InsightReport
 from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.sim.config import MachineConfig
 from repro.sim.run import (
+    VALID_KERNELS,
     CapturedRun,
     SimResult,
     capture_run,
     derive_perfect_bp,
     predictor_key,
 )
-from repro.workloads import SUITE, default_scale, get_workload
+from repro.workloads import SUITE, default_scale, get_workload, parse_scale
 
 
 class ExperimentEngine:
-    """Compile/simulate orchestrator behind :class:`SuiteRunner`."""
+    """Compile/simulate orchestrator behind :class:`SuiteRunner`.
+
+    Raises :class:`~repro.errors.ConfigError` before any work for a
+    *scale* that is not a positive finite number, a *jobs* that is not
+    an integer of at least 1, or a *kernel* outside
+    :data:`~repro.sim.run.VALID_KERNELS`.
+    """
 
     def __init__(
         self,
@@ -85,7 +96,16 @@ class ExperimentEngine:
         insight: bool = False,
         kernel: str = "auto",
     ):
-        self.scale = scale if scale is not None else default_scale()
+        self.scale = (
+            default_scale() if scale is None else parse_scale(scale, "scale")
+        )
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+        if kernel not in VALID_KERNELS:
+            raise ConfigError(
+                f"kernel must be one of {', '.join(VALID_KERNELS)}, "
+                f"got {kernel!r}"
+            )
         self.benchmarks = list(benchmarks) if benchmarks else list(SUITE)
         self.telemetry = telemetry
         if toolchain is None:
@@ -93,7 +113,7 @@ class ExperimentEngine:
         self.toolchain = toolchain
         self.toolchain_spec = ToolchainSpec.from_toolchain(self.toolchain)
         self.cache = cache
-        self.jobs = max(1, int(jobs))
+        self.jobs = jobs
         #: collect an InsightReport (cycle accounting + fetch-rate
         #: analytics) for every executed run
         self.insight = bool(insight)
@@ -238,6 +258,23 @@ class ExperimentEngine:
         group)."""
         self._produce([spec], self._tel())
         return self._results[spec]
+
+    def compare(
+        self,
+        name: str,
+        config: MachineConfig | None = None,
+        source: str | None = None,
+    ) -> Comparison:
+        """Both ISAs' runs of one program (see :meth:`compiled`) under
+        *config*, the paper's machine by default: two :meth:`run` calls,
+        so a pair never starts a pool. A perfect-prediction comparison
+        derives both traces from the real captures
+        (:meth:`captured_run`)."""
+        config = config or MachineConfig()
+        runs = {
+            isa: self.run(RunSpec(name, isa, config, source)) for isa in ISAS
+        }
+        return Comparison(**runs)
 
     # -- plan execution ------------------------------------------------
 

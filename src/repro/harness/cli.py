@@ -53,7 +53,7 @@ import os
 import sys
 
 from repro.backend import EnlargeConfig
-from repro.core.toolchain import Toolchain
+from repro.core.toolchain import Comparison, Toolchain
 from repro.engine import ArtifactCache, ExperimentEngine, RunSpec
 from repro.errors import ConfigError
 from repro.harness.experiments import ALL_EXPERIMENTS, SuiteRunner
@@ -350,7 +350,7 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _simulate_pair(args, tel: Telemetry | None):
+def _simulate_pair(args, tel: Telemetry | None) -> Comparison:
     """Shared engine path for simulate/metrics/trace: both ISAs' runs of
     one workload, and under ``--trace-cache`` its conventional capture
     replayed again behind a trace cache."""
@@ -367,29 +367,27 @@ def _simulate_pair(args, tel: Telemetry | None):
     config = MachineConfig(
         perfect_bp=getattr(args, "perfect_bp", False)
     ).with_icache_kb(getattr(args, "icache_kb", 64))
-    conv_spec = RunSpec(args.workload, "conventional", config)
-    conv = engine.run(conv_spec)
-    block = engine.run(RunSpec(args.workload, "block", config))
+    cmp = engine.compare(args.workload, config)
     if getattr(args, "trace_cache", False):
         from repro.sim.tracecache import replay_with_trace_cache
 
+        conv_spec = RunSpec(args.workload, "conventional", config)
         replay_with_trace_cache(
             engine.captured_run(conv_spec), config, telemetry=tel
         )
-    return conv, block
+    return cmp
 
 
 def _cmd_simulate(args) -> int:
     tel = _make_telemetry(args)
-    conv, block = _simulate_pair(args, tel)
-    reduction = 100.0 * (conv.cycles - block.cycles) / conv.cycles
-    for r in (conv, block):
+    cmp = _simulate_pair(args, tel)
+    for r in (cmp.conventional, cmp.block):
         print(
             f"{r.isa:13s} cycles={r.cycles:10,d} ops={r.committed_ops:10,d} "
             f"IPC={r.ipc:5.2f} avg_block={r.avg_block_size:5.2f} "
             f"bp={r.bp_accuracy:.3f} icache_miss={r.timing.icache_misses}"
         )
-    print(f"execution-time reduction: {reduction:+.1f}%")
+    print(f"execution-time reduction: {cmp.reduction_pct:+.1f}%")
     if tel is not None:
         return _write_artifact(
             tel,

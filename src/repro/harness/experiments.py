@@ -69,12 +69,10 @@ class ExperimentResult:
 class SuiteRunner:
     """Thin facade over :class:`~repro.engine.ExperimentEngine`.
 
-    Kept for API compatibility with the pre-engine harness: ``pair`` /
-    ``run`` / ``run_pair`` behave as before, but runs are memoized by
-    the **full** :class:`MachineConfig` (the old memo keyed only on
-    icache size and perfect-bp, so sweeps of any other field collided),
-    and ``plan``/``execute`` expose the declarative plan path used by
-    the CLI and the benchmark harness.
+    ``pair`` and ``run`` read its memoized compiles and runs (keyed by
+    the **full** :class:`MachineConfig`), and ``plan``/``execute``
+    expose the declarative plan path used by the CLI and the benchmark
+    harness. The figures compare both ISAs through ``engine.compare``.
     """
 
     def __init__(
@@ -125,14 +123,6 @@ class SuiteRunner:
 
     def run(self, name: str, isa: str, config: MachineConfig) -> SimResult:
         return self.engine.run(RunSpec(name, isa, config))
-
-    def run_pair(
-        self, name: str, config: MachineConfig
-    ) -> tuple[SimResult, SimResult]:
-        return (
-            self.run(name, "conventional", config),
-            self.run(name, "block", config),
-        )
 
     def plan(self, experiments: list[str]) -> RunPlan:
         """One deduplicated plan covering *experiments*' declared runs."""
@@ -256,15 +246,15 @@ def _performance_figure(
     mispredicts = 0
     squashed = 0
     for name in runner.benchmarks:
-        conv, block = runner.run_pair(name, config)
-        reduction = 100.0 * (conv.cycles - block.cycles) / conv.cycles
-        reductions[name] = reduction
+        cmp = runner.engine.compare(name, config)
+        conv, block = cmp.conventional, cmp.block
+        reductions[name] = cmp.reduction_pct
         total_conv += conv.cycles
         total_block += block.cycles
         mispredicts += conv.mispredicts + block.mispredicts
         squashed += block.squashed_blocks
         rows.append(
-            [name, conv.cycles, block.cycles, f"{reduction:+.1f}%"]
+            [name, conv.cycles, block.cycles, f"{cmp.reduction_pct:+.1f}%"]
         )
     aggregate = 100.0 * (total_conv - total_block) / total_conv
     summary = {
@@ -340,7 +330,8 @@ def fig5_block_sizes(runner: SuiteRunner | None = None) -> ExperimentResult:
     conv_sizes = {}
     block_sizes = {}
     for name in runner.benchmarks:
-        conv, block = runner.run_pair(name, config)
+        cmp = runner.engine.compare(name, config)
+        conv, block = cmp.conventional, cmp.block
         conv_sizes[name] = conv.avg_block_size
         block_sizes[name] = block.avg_block_size
         growth = (block.avg_block_size / conv.avg_block_size - 1.0) * 100.0

@@ -12,8 +12,8 @@ path adds no per-event work.
 Typical use::
 
     tel = Telemetry()                      # enabled, empty
-    result = simulate_conventional(prog, config, telemetry=tel)
-    tel.write_json("out.json", meta={"benchmark": prog.name})
+    result = ExperimentEngine(telemetry=tel).compare("gcc")
+    tel.write_json("out.json", meta={"benchmark": "gcc"})
 
 or process-wide::
 

@@ -24,8 +24,6 @@ from repro.sim.run import (
     capture_run,
     predictor_key,
     replay_captured,
-    simulate_block_structured,
-    simulate_conventional,
 )
 from repro.sim.predictors import (
     BlockPredictor,
@@ -58,8 +56,6 @@ __all__ = [
     "capture_run",
     "predictor_key",
     "replay_captured",
-    "simulate_conventional",
-    "simulate_block_structured",
     "GsharePredictor",
     "BlockPredictor",
     "StaticTakenPredictor",

@@ -15,10 +15,11 @@ One simulation is two phases (docs/performance.md):
   :meth:`~repro.sim.engine.TimingEngine.run_packed` under any machine
   config and assemble the :class:`SimResult`.
 
-``simulate_conventional``/``simulate_block_structured`` do both in one
-call; callers sweeping machine configs capture once and replay the
-whole group through :func:`repro.engine.executor.replay_group`, which
-runs :func:`prepare_sweep` once for it.
+The experiment engine (:mod:`repro.engine`) does both: it captures
+once per program, ISA and predictor configuration and replays the whole
+group of machine configs through
+:func:`repro.engine.executor.replay_group`, which runs
+:func:`prepare_sweep` once for it.
 """
 
 from __future__ import annotations
@@ -566,32 +567,3 @@ def replay_captured(
     if tel.enabled:
         _publish(tel, result, engine, captured.predictor)
     return result
-
-
-# ---------------------------------------------------------------------------
-# One-shot simulation (capture + replay)
-# ---------------------------------------------------------------------------
-
-
-def simulate_conventional(
-    prog: ConventionalProgram,
-    config: MachineConfig | None = None,
-    telemetry: Telemetry | None = None,
-    insight=None,
-) -> SimResult:
-    """Run a timed simulation of a conventional-ISA program."""
-    config = config or MachineConfig()
-    captured = capture_conventional(prog, config, telemetry)
-    return replay_captured(captured, config, telemetry, insight=insight)
-
-
-def simulate_block_structured(
-    prog: BlockProgram,
-    config: MachineConfig | None = None,
-    telemetry: Telemetry | None = None,
-    insight=None,
-) -> SimResult:
-    """Run a timed simulation of a block-structured ISA program."""
-    config = config or MachineConfig()
-    captured = capture_block_structured(prog, config, telemetry)
-    return replay_captured(captured, config, telemetry, insight=insight)

@@ -20,12 +20,12 @@ def default_scale() -> float:
     return parse_scale(os.environ.get("REPRO_SCALE", "1.0"), "REPRO_SCALE")
 
 
-def parse_scale(raw: str, what: str) -> float:
+def parse_scale(raw: str | float, what: str) -> float:
     """*raw* as a workload scale: a positive finite number, else a
     :class:`ConfigError` naming *what*."""
     try:
         scale = float(raw)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {raw!r}") from None
     if not math.isfinite(scale) or scale <= 0:
         raise ConfigError(

@@ -1,8 +1,9 @@
 """Pinned-seed determinism: the same MiniC source must produce
 bit-identical SimResult fields when simulated twice, when recompiled
-from scratch, when executed through the experiment engine's ``--jobs 2``
-process pool (guarding the PR 2 parallel-merge path), and when replayed
-from a serialized packed trace (guarding the capture/replay split)."""
+from scratch (each by a fresh engine, never a memo hit), when executed
+through the experiment engine's ``--jobs 2`` process pool (guarding the
+parallel-merge path), and when replayed from a serialized packed trace
+(guarding the capture/replay split)."""
 
 from __future__ import annotations
 
@@ -19,12 +20,7 @@ from repro.engine.spec import RunSpec
 from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
-from repro.sim.run import (
-    capture_run,
-    replay_captured,
-    simulate_block_structured,
-    simulate_conventional,
-)
+from repro.sim.run import capture_run, replay_captured
 
 #: A pinned generator seed: this exact source (loops, branches, helper
 #: calls) is what every assertion below simulates.
@@ -41,31 +37,36 @@ def _fields(result) -> dict:
     return dataclasses.asdict(result)
 
 
+def _fresh_compare(source: str, config: MachineConfig):
+    """Both ISAs' runs of *source* on an engine of their own."""
+    return ExperimentEngine().compare("pinned", config, source)
+
+
 class TestInProcessDeterminism:
     def test_simulated_twice_bit_identical(self, pinned_pair):
-        _, pair = pinned_pair
+        source, _ = pinned_pair
         config = MachineConfig()
-        conv_a = simulate_conventional(pair.conventional, config)
-        conv_b = simulate_conventional(pair.conventional, config)
-        assert _fields(conv_a) == _fields(conv_b)
-        block_a = simulate_block_structured(pair.block, config)
-        block_b = simulate_block_structured(pair.block, config)
-        assert _fields(block_a) == _fields(block_b)
+        a = _fresh_compare(source, config)
+        b = _fresh_compare(source, config)
+        assert _fields(a.conventional) == _fields(b.conventional)
+        assert _fields(a.block) == _fields(b.block)
 
     def test_recompiled_source_bit_identical(self, pinned_pair):
         source, pair = pinned_pair
-        repair = Toolchain().compile(source, "pinned")
         config = MachineConfig()
+        engine = ExperimentEngine()
+        recompiled = engine.compiled("pinned", source)
+        assert recompiled.block.disassemble() == pair.block.disassemble()
         assert _fields(
-            simulate_block_structured(pair.block, config)
-        ) == _fields(simulate_block_structured(repair.block, config))
+            _fresh_compare(source, config).block
+        ) == _fields(engine.run(RunSpec("pinned", "block", config, source)))
 
     def test_perfect_bp_also_deterministic(self, pinned_pair):
-        _, pair = pinned_pair
+        source, _ = pinned_pair
         config = MachineConfig(perfect_bp=True)
-        assert _fields(
-            simulate_block_structured(pair.block, config)
-        ) == _fields(simulate_block_structured(pair.block, config))
+        assert _fields(_fresh_compare(source, config).block) == _fields(
+            _fresh_compare(source, config).block
+        )
 
 
 class TestEngineJobs2Determinism:

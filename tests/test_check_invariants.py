@@ -9,19 +9,24 @@ import pytest
 
 from repro.check import ALL_INVARIANTS, check_invariants
 from repro.check.invariants import Violation
+from repro.engine import ExperimentEngine
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_block_structured, simulate_conventional
 
-from tests.conftest import FEATURE_PROGRAM, compile_cached
+from tests.conftest import FEATURE_PROGRAM
 
 
 @pytest.fixture(scope="module")
-def results():
-    pair = compile_cached(FEATURE_PROGRAM, "feature")
+def engine():
+    return ExperimentEngine()
+
+
+@pytest.fixture(scope="module")
+def results(engine):
     config = MachineConfig()
+    cmp = engine.compare("feature", config, FEATURE_PROGRAM)
     return {
-        "conventional": simulate_conventional(pair.conventional, config),
-        "block": simulate_block_structured(pair.block, config),
+        "conventional": cmp.conventional,
+        "block": cmp.block,
         "config": config,
     }
 
@@ -47,13 +52,10 @@ class TestConsistentRuns:
     def test_block_passes(self, results):
         assert check_invariants(results["block"]) == []
 
-    def test_perfect_bp_run_passes_with_config(self):
-        pair = compile_cached(FEATURE_PROGRAM, "feature")
+    def test_perfect_bp_run_passes_with_config(self, engine):
         config = MachineConfig(perfect_bp=True)
-        for result in (
-            simulate_conventional(pair.conventional, config),
-            simulate_block_structured(pair.block, config),
-        ):
+        cmp = engine.compare("feature", config, FEATURE_PROGRAM)
+        for result in (cmp.conventional, cmp.block):
             assert check_invariants(result, config) == []
 
     def test_all_emitted_names_are_registered(self, results):

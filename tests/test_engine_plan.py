@@ -136,6 +136,51 @@ class TestMemoKeyRegression:
 
 
 # ---------------------------------------------------------------------------
+# Construction: bad input fails before any work
+# ---------------------------------------------------------------------------
+
+
+class TestEngineInputValidation:
+    @pytest.mark.parametrize("cls", [ExperimentEngine, SuiteRunner])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scale", 0),
+            ("scale", -1),
+            ("scale", float("nan")),
+            ("scale", "abc"),
+            ("jobs", 0),
+            ("jobs", -3),
+            ("jobs", 1.5),
+            ("jobs", "2"),
+            ("jobs", True),
+            ("kernel", "cuda"),
+        ],
+    )
+    def test_rejected_before_any_work(self, cls, field, value):
+        tel = Telemetry()
+        with pytest.raises(ConfigError, match=field):
+            cls(benchmarks=["compress"], telemetry=tel, **{field: value})
+        assert len(tel.spans) == 0
+        assert len(tel.metrics) == 0
+
+    def test_bad_kernel_rejected_with_a_warm_cache(self, tmp_path):
+        """The kernel is checked up front, not at the first cold replay
+        (which a warm cache never reaches)."""
+        cache = ArtifactCache(tmp_path / "cache")
+        spec = RunSpec("compress", "block", MachineConfig())
+        ExperimentEngine(scale=SCALE, cache=cache).run(spec)
+        with pytest.raises(ConfigError, match="kernel"):
+            ExperimentEngine(scale=SCALE, cache=cache, kernel="cuda")
+
+    def test_valid_input_kept(self):
+        engine = ExperimentEngine(scale=1, jobs=2, kernel="python")
+        assert (engine.scale, engine.jobs, engine.kernel) == (
+            1.0, 2, "python"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Planning / dedup
 # ---------------------------------------------------------------------------
 

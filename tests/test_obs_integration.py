@@ -4,19 +4,14 @@ import json
 
 import pytest
 
-from repro.core.toolchain import Toolchain
+from repro.engine import ExperimentEngine, RunSpec
 from repro.errors import ConfigError
 from repro.harness.cli import main as cli_main
 from repro.harness.experiments import SuiteRunner, default_scale
 from repro.obs import Telemetry, document_errors
 from repro.sim.config import MachineConfig
 from repro.sim.engine import TimingStats
-from repro.sim.run import (
-    SimResult,
-    simulate_block_structured,
-    simulate_conventional,
-)
-from repro.workloads import SUITE
+from repro.sim.run import SimResult
 
 SCALE = 0.05
 
@@ -25,12 +20,8 @@ SCALE = 0.05
 def telemetry_run():
     """One small compile+simulate with an injected telemetry session."""
     tel = Telemetry()
-    toolchain = Toolchain(telemetry=tel)
-    pair = toolchain.compile(SUITE["compress"].source(SCALE), "compress")
-    config = MachineConfig()
-    conv = simulate_conventional(pair.conventional, config, telemetry=tel)
-    block = simulate_block_structured(pair.block, config, telemetry=tel)
-    return tel, conv, block
+    cmp = ExperimentEngine(scale=SCALE, telemetry=tel).compare("compress")
+    return tel, cmp.conventional, cmp.block
 
 
 class TestSimTelemetry:
@@ -91,9 +82,9 @@ class TestSimTelemetry:
 
     def test_disabled_session_stays_empty(self):
         tel = Telemetry(enabled=False)
-        toolchain = Toolchain(telemetry=tel)
-        pair = toolchain.compile(SUITE["compress"].source(SCALE), "compress")
-        simulate_conventional(pair.conventional, MachineConfig(), telemetry=tel)
+        ExperimentEngine(scale=SCALE, telemetry=tel).run(
+            RunSpec("compress", "conventional", MachineConfig())
+        )
         assert len(tel.metrics) == 0
         assert len(tel.spans) == 0
         assert len(tel.trace) == 0

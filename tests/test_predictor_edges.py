@@ -12,10 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.check import CosimChecker, check_invariants
-from repro.core.toolchain import Toolchain
+from repro.engine import ExperimentEngine, RunSpec
 from repro.exec import interpret_module
 from repro.sim.config import MachineConfig
-from repro.sim.run import simulate_block_structured, simulate_conventional
 
 #: Straight-line code: no BR op is ever executed on either ISA.
 ZERO_BRANCH_PROGRAM = """
@@ -45,42 +44,55 @@ print_int(g);
 """
 
 
-@pytest.fixture(scope="module")
-def zero_branch_pair():
-    return Toolchain().compile(ZERO_BRANCH_PROGRAM, "zerobranch")
+class Program:
+    """One of the programs above, compiled and run by one engine."""
+
+    def __init__(self, source: str, name: str):
+        self.engine = ExperimentEngine()
+        self.source, self.name = source, name
+
+    @property
+    def module(self):
+        return self.engine.compiled(self.name, self.source).module
+
+    def run(self, isa: str, config: MachineConfig | None = None):
+        return self.engine.run(
+            RunSpec(self.name, isa, config or MachineConfig(), self.source)
+        )
 
 
 @pytest.fixture(scope="module")
-def cold_fault_pair():
-    return Toolchain().compile(COLD_FAULT_PROGRAM, "coldfault")
+def zero_branch():
+    return Program(ZERO_BRANCH_PROGRAM, "zerobranch")
+
+
+@pytest.fixture(scope="module")
+def cold_fault():
+    return Program(COLD_FAULT_PROGRAM, "coldfault")
 
 
 class TestZeroBranchProgram:
-    def test_conventional_rates_degrade_to_zero(self, zero_branch_pair):
-        result = simulate_conventional(
-            zero_branch_pair.conventional, MachineConfig()
-        )
+    def test_conventional_rates_degrade_to_zero(self, zero_branch):
+        result = zero_branch.run("conventional")
         assert result.branch_events == 0
         assert result.mispredicts == 0
         assert result.bp_accuracy == 0.0  # zero predictions, not a crash
         assert result.mispredict_rate == 0.0
-        assert result.outputs == interpret_module(zero_branch_pair.module)
+        assert result.outputs == interpret_module(zero_branch.module)
 
-    def test_block_rates_degrade_to_zero(self, zero_branch_pair):
-        result = simulate_block_structured(
-            zero_branch_pair.block, MachineConfig()
-        )
+    def test_block_rates_degrade_to_zero(self, zero_branch):
+        result = zero_branch.run("block")
         assert result.branch_events == 0
         assert result.mispredicts == 0
         assert result.mispredict_rate == 0.0
         assert result.squashed_blocks == 0
 
-    def test_invariants_hold_with_zero_branches(self, zero_branch_pair):
+    def test_invariants_hold_with_zero_branches(self, zero_branch):
         config = MachineConfig()
-        for result in (
-            simulate_conventional(zero_branch_pair.conventional, config),
-            simulate_block_structured(zero_branch_pair.block, config),
-        ):
+        cmp = zero_branch.engine.compare(
+            zero_branch.name, config, zero_branch.source
+        )
+        for result in (cmp.conventional, cmp.block):
             assert check_invariants(result, config) == []
 
     def test_cosim_matrix_passes(self):
@@ -91,24 +103,20 @@ class TestZeroBranchProgram:
 
 
 class TestColdSuccessorFaults:
-    def test_first_visit_faults_and_squashes(self, cold_fault_pair):
-        result = simulate_block_structured(
-            cold_fault_pair.block, MachineConfig()
-        )
+    def test_first_visit_faults_and_squashes(self, cold_fault):
+        result = cold_fault.run("block")
         assert result.fault_mispredicts > 0
         assert result.squashed_blocks == result.fault_mispredicts
         assert result.timing.squashed_ops > 0
 
-    def test_outputs_survive_squashes(self, cold_fault_pair):
-        result = simulate_block_structured(
-            cold_fault_pair.block, MachineConfig()
-        )
-        assert result.outputs == interpret_module(cold_fault_pair.module)
+    def test_outputs_survive_squashes(self, cold_fault):
+        result = cold_fault.run("block")
+        assert result.outputs == interpret_module(cold_fault.module)
         assert check_invariants(result, MachineConfig()) == []
 
-    def test_perfect_prediction_never_faults(self, cold_fault_pair):
+    def test_perfect_prediction_never_faults(self, cold_fault):
         config = MachineConfig(perfect_bp=True)
-        result = simulate_block_structured(cold_fault_pair.block, config)
+        result = cold_fault.run("block", config)
         assert result.fault_mispredicts == 0
         assert result.squashed_blocks == 0
         assert result.timing.squashed_ops == 0

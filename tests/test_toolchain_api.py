@@ -1,17 +1,21 @@
-"""Public API (repro.core) tests."""
+"""Public API tests: repro.core compiles, ExperimentEngine.compare runs."""
+
+import dataclasses
 
 import pytest
 
 from repro.core import (
     Toolchain,
-    compare_isas,
     compile_block_structured,
     compile_conventional,
     compile_pair,
 )
 from repro.backend.enlarge import EnlargeConfig
+from repro.engine import ExperimentEngine
 from repro.errors import ReproError, TypeCheckError
+from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
+from repro.sim.run import capture_run, replay_captured
 from tests.conftest import FEATURE_PROGRAM
 
 SMALL = """
@@ -41,7 +45,7 @@ def test_one_shot_helpers():
 
 
 def test_compare_runs_and_matches():
-    cmp = compare_isas(SMALL, "small", config=MachineConfig())
+    cmp = ExperimentEngine().compare("small", MachineConfig(), SMALL)
     assert cmp.outputs_match
     assert cmp.conventional.cycles > 0
     assert cmp.block.cycles > 0
@@ -54,19 +58,40 @@ def test_compare_runs_and_matches():
 
 
 def test_compare_perfect_vs_real_prediction():
-    real = compare_isas(SMALL, config=MachineConfig())
-    perfect = compare_isas(SMALL, config=MachineConfig(perfect_bp=True))
+    engine = ExperimentEngine()
+    real = engine.compare("program", MachineConfig(), SMALL)
+    perfect = engine.compare("program", MachineConfig(perfect_bp=True), SMALL)
     assert perfect.conventional.cycles <= real.conventional.cycles
     assert perfect.block.mispredicts == 0
     assert real.conventional.bp_accuracy <= 1.0
 
 
+def test_compare_derives_perfect_prediction():
+    """A perfect-prediction comparison executes each image once, under
+    real prediction, and derives both perfect runs from those captures;
+    the results equal a direct perfect capture replayed on the scalar
+    kernel."""
+    tel = Telemetry()
+    engine = ExperimentEngine(telemetry=tel)
+    config = MachineConfig(perfect_bp=True)
+    cmp = engine.compare("feature", config, FEATURE_PROGRAM)
+    assert tel.metrics.get("plan.trace_captures") == 2
+    assert sum(r.name == "sim.derive" for r in tel.spans.records) == 2
+    pair = engine.compiled("feature", FEATURE_PROGRAM)
+    # Comparison's two fields are named after the ISAs
+    for isa, result in dataclasses.asdict(cmp).items():
+        direct = replay_captured(
+            capture_run(getattr(pair, isa), isa, config), config,
+            kernel="python",
+        )
+        assert result == dataclasses.asdict(direct), isa
+
+
 def test_toolchain_opt_levels_same_outputs():
     results = {}
     for level in (0, 1, 2):
-        toolchain = Toolchain(opt_level=level)
-        pair = toolchain.compile(SMALL, f"lv{level}")
-        cmp = toolchain.compare(pair)
+        engine = ExperimentEngine(toolchain=Toolchain(opt_level=level))
+        cmp = engine.compare(f"lv{level}", source=SMALL)
         results[level] = (
             cmp.conventional.outputs,
             cmp.conventional.committed_ops,
@@ -95,8 +120,7 @@ def test_code_expansion_reported(feature_pair):
 
 
 def test_sim_result_fields(feature_pair):
-    toolchain = Toolchain()
-    cmp = toolchain.compare(feature_pair)
+    cmp = ExperimentEngine().compare("feature", source=FEATURE_PROGRAM)
     r = cmp.block
     assert r.isa == "block"
     assert r.committed_units > 0
