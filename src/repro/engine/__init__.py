@@ -6,8 +6,9 @@ stages (docs/experiment-engine.md):
 1. **plan** — experiments declare their required runs as
    :class:`RunSpec` values; :func:`build_plan` deduplicates them by
    full-fidelity identity into one :class:`RunPlan`;
-2. **execute** — :class:`ExperimentEngine` runs the deduplicated plan,
-   serially or across a process pool, memoizing every result;
+2. **execute** — :class:`ExperimentEngine` runs the deduplicated plan
+   one program at a time, in-process or across a process pool,
+   memoizing every result;
 3. **cache** — an optional :class:`ArtifactCache` persists compiled
    pairs and simulation results content-addressed on disk, so repeated
    invocations skip unchanged work entirely.
@@ -15,7 +16,7 @@ stages (docs/experiment-engine.md):
 
 from repro.engine.cache import ArtifactCache, default_cache_root
 from repro.engine.core import ExperimentEngine
-from repro.engine.executor import execute_group, replay_group
+from repro.engine.executor import replay_group
 from repro.engine.plan import RunPlan, build_plan
 from repro.engine.spec import (
     SCHEMA_VERSION,
@@ -39,7 +40,6 @@ __all__ = [
     "compile_key",
     "config_key",
     "default_cache_root",
-    "execute_group",
     "insight_key",
     "replay_group",
     "run_key",

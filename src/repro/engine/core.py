@@ -24,11 +24,14 @@ session:
   :class:`~repro.engine.spec.RunSpec` (the entire machine config
   participates in the key) and disk-cached by content address;
 * **plans** — :meth:`execute` takes a deduplicated
-  :class:`~repro.engine.plan.RunPlan` and replays the missing runs one
-  trace group at a time through
-  :func:`~repro.engine.executor.replay_group`, serially or — with
-  ``jobs > 1`` and at least two groups — across a process pool,
-  merging worker telemetry back into the session in deterministic plan
+  :class:`~repro.engine.plan.RunPlan` and partitions the missing runs
+  by program *(benchmark, source)*. One program is one unit of work
+  (:meth:`ExperimentEngine._produce_program`): compile, capture, derive
+  and replay, one trace group at a time through
+  :func:`~repro.engine.executor.replay_group`. Units run in-process,
+  or — with ``jobs > 1`` and at least two programs missing — in a
+  process pool whose workers each build their own engine; the parent
+  merges worker telemetry back into the session in deterministic plan
   order. :meth:`run` is the same path for one spec, and :meth:`compare`
   runs it once per ISA: the public API's controlled comparison.
 
@@ -38,19 +41,21 @@ counters per execution,
 ``plan.cache_misses{kind=run|compile|trace|insight}``,
 ``plan.trace_captures`` / ``plan.trace_replays`` /
 ``plan.trace_reuse`` counters for the capture/replay split,
-``plan.sweep_groups`` / ``plan.trace_ship_bytes`` /
-``sweep.configs_batched`` counters for the sweep-batched distribution
-(docs/experiment-engine.md), and a ``plan.run{benchmark,isa}`` span
-around every simulation (worker-side when parallel).
+``plan.sweep_groups`` / ``sweep.configs_batched`` counters for the
+sweep-batched replay (docs/experiment-engine.md), and a
+``plan.run{benchmark,isa}`` span around every simulation. When a pool
+runs, the compile, capture, derive and run spans are recorded in the
+workers and merged.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from repro.core.toolchain import CompiledPair, Comparison, Toolchain
 from repro.engine.cache import ArtifactCache
-from repro.engine.executor import execute_parallel_groups, replay_group
+from repro.engine.executor import replay_group
 from repro.engine.plan import RunPlan
 from repro.engine.spec import (
     ISAS,
@@ -64,6 +69,7 @@ from repro.engine.spec import (
 from repro.errors import ConfigError
 from repro.insight import InsightReport
 from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.run import (
     VALID_KERNELS,
@@ -75,14 +81,19 @@ from repro.sim.run import (
 )
 from repro.workloads import SUITE, default_scale, get_workload, parse_scale
 
+#: Worker trace buffers stay small: the parent merges one buffer per
+#: program and its own ring already bounds total retention.
+WORKER_TRACE_CAPACITY = 1024
+
 
 class ExperimentEngine:
     """Compile/simulate orchestrator behind :class:`SuiteRunner`.
 
     Raises :class:`~repro.errors.ConfigError` before any work for a
     *scale* that is not a positive finite number, a *jobs* that is not
-    an integer of at least 1, or a *kernel* outside
-    :data:`~repro.sim.run.VALID_KERNELS`.
+    an integer of at least 1, a *kernel* outside
+    :data:`~repro.sim.run.VALID_KERNELS`, or ``kernel="numpy"`` where
+    numpy is not importable.
     """
 
     def __init__(
@@ -105,6 +116,11 @@ class ExperimentEngine:
             raise ConfigError(
                 f"kernel must be one of {', '.join(VALID_KERNELS)}, "
                 f"got {kernel!r}"
+            )
+        if kernel == "numpy" and not vector.HAVE_NUMPY:
+            raise ConfigError(
+                "kernel 'numpy' needs numpy, which is not importable; "
+                "use 'python' or 'auto' (the kernels are bit-identical)"
             )
         self.benchmarks = list(benchmarks) if benchmarks else list(SUITE)
         self.telemetry = telemetry
@@ -293,14 +309,13 @@ class ExperimentEngine:
 
     def _produce(self, specs, tel: Telemetry) -> None:
         """Satisfy every spec from the memo, then the disk cache, and
-        replay the rest trace group by trace group.
+        produce the rest program by program.
 
         In insight mode a run only counts as satisfied when both the
         result and its InsightReport are available; a cached result
         with a missing report triggers a (cheap) re-replay. A pool
-        starts only when ``jobs > 1`` and at least two trace groups are
-        missing; otherwise each group is captured just before it
-        replays.
+        starts only when ``jobs > 1`` and at least two programs are
+        missing; otherwise each program is produced in-process.
         """
         missing: list[RunSpec] = []
         for spec in specs:
@@ -316,61 +331,99 @@ class ExperimentEngine:
                 self.insight and spec not in self._insights
             ):
                 missing.append(spec)
-        groups = self._sweep_groups(missing)
-        if self.jobs > 1 and len(groups) > 1:
-            # Capture every group up front, then ship each trace once.
-            captured = [self._capture_group(specs, tel) for specs in groups]
-            for run in captured:
-                tel.count("plan.trace_ship_bytes", run.trace.nbytes)
-            replayed = execute_parallel_groups(
-                list(zip(captured, groups)),
-                self.jobs, tel.enabled, self.insight, self.kernel,
-            )
-            for specs, (payloads, snapshot) in zip(groups, replayed):
-                tel.merge_snapshot(snapshot)
-                self._store(specs, payloads, tel)
+        programs = _partition(missing, lambda s: (s.benchmark, s.source))
+        if self.jobs > 1 and len(programs) > 1:
+            self._produce_pooled(programs, tel)
         else:
-            for specs in groups:
-                payloads = replay_group(
-                    self._capture_group(specs, tel), specs, tel,
-                    self.insight, self.kernel,
-                )
-                self._store(specs, payloads, tel)
+            for specs in programs:
+                self._store(self._produce_program(specs, tel), tel)
 
-    def _sweep_groups(self, missing: list[RunSpec]) -> list[list[RunSpec]]:
-        """Partition *missing* into trace-sharing config groups.
+    def _produce_program(self, specs: list[RunSpec], tel: Telemetry) -> list:
+        """Compile, capture, derive and replay one program's missing
+        *specs*, one trace group at a time; returns ``(spec, result,
+        report)`` items.
 
-        Group key = the trace memo key *(benchmark, source, isa,
+        The unit of work in-process and in a pool worker alike. Group
+        key = the trace memo key *(benchmark, source, isa,
         predictor_key(config))*: every spec of a group replays the same
         :class:`CapturedRun`, so its precompute is amortized
-        (:func:`~repro.engine.executor.replay_group`) and — in pool
-        mode — the trace ships to a worker once per group, not once per
-        spec. Plan order is preserved within and across groups.
+        (:func:`~repro.engine.executor.replay_group`). Plan order is
+        preserved within and across groups.
         """
-        groups: dict[tuple, list[RunSpec]] = {}
-        for spec in missing:
-            groups.setdefault(_trace_memo(spec), []).append(spec)
-        return list(groups.values())
+        items = []
+        for group in _partition(specs, _trace_memo):
+            captured = self.captured_run(group[0])
+            tel.count("plan.sweep_groups")
+            if len(group) > 1:
+                tel.count("plan.trace_reuse", len(group) - 1)
+            payloads = replay_group(
+                captured, group, tel, self.insight, self.kernel
+            )
+            items += [(s, *payload) for s, payload in zip(group, payloads)]
+        return items
 
-    def _capture_group(
-        self, specs: list[RunSpec], tel: Telemetry
-    ) -> CapturedRun:
-        """The trace every spec of one group replays."""
-        captured = self.captured_run(specs[0])
-        tel.count("plan.sweep_groups")
-        if len(specs) > 1:
-            tel.count("plan.trace_reuse", len(specs) - 1)
-        return captured
+    def _produce_pooled(self, programs, tel: Telemetry) -> None:
+        """Produce each program in a pool worker (:func:`_pooled_program`)
+        and merge the items, telemetry and cache counts in plan order."""
+        root = None if self.cache is None else self.cache.root
+        settings = (
+            self.scale, self.toolchain_spec, root,
+            self.insight, self.kernel, tel.enabled,
+        )
+        with ProcessPoolExecutor(min(self.jobs, len(programs))) as pool:
+            futures = [
+                pool.submit(_pooled_program, settings, specs)
+                for specs in programs
+            ]
+            for future in futures:
+                items, snapshot, (hits, misses) = future.result()
+                tel.merge_snapshot(snapshot)
+                if self.cache is not None:
+                    self.cache.hits += hits
+                    self.cache.misses += misses
+                self._store(items, tel)
 
-    def _store(self, specs: list[RunSpec], payloads, tel: Telemetry) -> None:
-        """Memoize and disk-cache one group's replayed payloads."""
-        for spec, (result, report) in zip(specs, payloads):
+    def _store(self, items, tel: Telemetry) -> None:
+        """Memoize and disk-cache produced ``(spec, result, report)``
+        items."""
+        for spec, result, report in items:
             tel.count("plan.trace_replays")
             self._save(self._key("run", spec), result)
             self._results[spec] = result
             if report is not None:
                 self._save(self._key("insight", spec), report)
                 self._insights[spec] = report
+
+
+def _pooled_program(settings: tuple, specs: list[RunSpec]) -> tuple:
+    """Pool entry for one program (module-level so the pool can pickle
+    it): a fresh engine built from the parent's *settings*, under a
+    fresh session enabled iff the parent's is, runs
+    :meth:`ExperimentEngine._produce_program`. Returns the items, that
+    session's snapshot and the worker cache's ``(hits, misses)``."""
+    scale, toolchain, root, insight, kernel, enabled = settings
+    tel = Telemetry(enabled=enabled, trace_capacity=WORKER_TRACE_CAPACITY)
+    cache = None if root is None else ArtifactCache(root)
+    engine = ExperimentEngine(
+        scale,
+        toolchain=Toolchain(
+            toolchain.opt_level, toolchain.enlarge, toolchain.inline,
+            toolchain.if_convert, tel,
+        ),
+        telemetry=tel, cache=cache, insight=insight, kernel=kernel,
+    )
+    items = engine._produce_program(specs, tel)
+    counts = (0, 0) if cache is None else (cache.hits, cache.misses)
+    return items, tel.worker_snapshot(), counts
+
+
+def _partition(specs, key) -> list[list[RunSpec]]:
+    """*specs* grouped by *key*, plan order kept within and across
+    groups."""
+    groups: dict = {}
+    for spec in specs:
+        groups.setdefault(key(spec), []).append(spec)
+    return list(groups.values())
 
 
 def _trace_memo(spec: RunSpec) -> tuple:

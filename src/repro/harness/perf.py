@@ -8,17 +8,17 @@ Times the phases of the packed-trace pipeline per benchmark × ISA
 * **replay**   — :meth:`~repro.sim.engine.TimingEngine.run_packed` over
   the flat arrays (the scalar Python replayer, the reference);
 * **vector**   — the vectorized column kernel
-  (:mod:`repro.sim.vector`), timed *cold*: one replay of a freshly
-  shipped trace copy, which holds no per-trace prep and no memoized
-  spine — what a pool worker or a one-at-a-time replay pays. Skipped
+  (:mod:`repro.sim.vector`), timed *cold*: one replay of a trace copy
+  rebuilt from its serialized form, as the artifact cache loads it,
+  with no per-trace prep and no memoized spine. Skipped
   (no ``vector_s`` column) when numpy is absent or ``kernel='python'``
   is forced;
 * **sweep**    — the batched fig6/fig7-style icache sweep
   (:func:`~repro.engine.executor.replay_group` over perfect +
   :data:`~repro.fidelity.paper.ICACHE_SWEEP_KB`): ``sweep_per_config_s``
-  replays one cold-shipped trace copy per config point (the old
-  one-work-item-per-spec distribution), ``sweep_s`` ships once and
-  batches the whole sweep; ``totals.speedup_sweep`` is their ratio.
+  replays one cold trace copy per config point (one-at-a-time
+  replay), ``sweep_s`` one cold copy batched over the whole sweep;
+  ``totals.speedup_sweep`` is their ratio.
   Emitted for every kernel — without numpy both legs run the grouped
   scalar fallback and the ratio hovers near 1.
 
@@ -111,13 +111,13 @@ def benchmark_one(
         }
         fallbacks = vector.FALLBACKS
         if time_vector:
-            # A freshly shipped copy, as the sweep legs replay: a replay
-            # of *captured* itself could be served by prep or a spine
-            # memo that an earlier replay left on the trace.
-            shipped = _ship(captured, captured.trace.to_bytes())
+            # A cold copy, as the sweep legs replay: a replay of
+            # *captured* itself could be served by prep or a spine memo
+            # that an earlier replay left on the trace.
+            cold = _cold_copy(captured, captured.trace.to_bytes())
             vectored, vector_s = _timed(
                 tel, "perf.vector",
-                lambda: replay_captured(shipped, config, kernel="numpy"),
+                lambda: replay_captured(cold, config, kernel="numpy"),
                 **labels
             )
             entry["vector_s"] = vector_s
@@ -135,19 +135,19 @@ def benchmark_one(
     return entries
 
 
-def _ship(captured, blob):
+def _cold_copy(captured, blob):
     """*captured* with its trace rebuilt from the serialized *blob*, as
-    a pool worker unpickles it: no line spans, prep or spine memo."""
+    the artifact cache loads it: no line spans, prep or spine memo."""
     return dataclasses.replace(captured, trace=PackedTrace.from_bytes(blob))
 
 
 def _sweep_columns(tel, captured, config, kernel, labels) -> dict:
     """Time the fig6/fig7-style icache sweep both ways.
 
-    Both legs replay *cold-shipped* trace copies — what a pool worker
-    unpickles. The per-config leg rebuilds the copy per sweep point
-    (one work item per spec, the pre-batching distribution); the sweep
-    leg ships once and hands the whole config list to
+    Both legs replay *cold* trace copies — what the artifact cache
+    loads. The per-config leg rebuilds the copy per sweep point
+    (one-at-a-time replay); the sweep leg rebuilds it once and hands
+    the whole config list to
     :func:`~repro.engine.executor.replay_group`, which amortizes the
     shared precompute. ``sweep_match`` asserts the two result lists are
     bit-identical (``dataclasses.asdict`` equality, no tolerance).
@@ -159,7 +159,7 @@ def _sweep_columns(tel, captured, config, kernel, labels) -> dict:
     per_results, sweep_per_config_s = _timed(
         tel, "perf.sweep_per_config",
         lambda: [
-            replay_captured(_ship(captured, blob), c, kernel=kernel)
+            replay_captured(_cold_copy(captured, blob), c, kernel=kernel)
             for c in configs
         ],
         **labels,
@@ -169,7 +169,8 @@ def _sweep_columns(tel, captured, config, kernel, labels) -> dict:
         tel, "perf.sweep",
         lambda: [
             result for result, _ in replay_group(
-                _ship(captured, blob), specs, get_telemetry(), kernel=kernel
+                _cold_copy(captured, blob), specs, get_telemetry(),
+                kernel=kernel,
             )
         ],
         **labels,

@@ -156,8 +156,11 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` from another registry (typically a
         worker process) into this one.
 
-        Counters accumulate and histograms combine exactly; gauges take
-        the snapshotted value (last write wins), so merging is
+        Counters accumulate, and histograms combine their counts,
+        buckets, min and max exactly; a histogram's float sum may
+        differ in the last place from one accumulated in another order
+        (float addition is not associative). Gauges take the
+        snapshotted value (last write wins), so merging is
         order-sensitive only for gauge series published by more than
         one source — per-run gauges carry unique label sets and are
         unaffected. Kind conflicts raise :class:`TelemetryError`, like

@@ -73,7 +73,7 @@ class Telemetry:
 
     def worker_snapshot(self) -> dict:
         """A picklable snapshot of this session for cross-process merge
-        (the parallel executor ships one per run back to the parent)."""
+        (each pool worker returns one per program to the parent)."""
         return {
             "metrics": self.metrics.snapshot(),
             "spans": self.spans.snapshot(),
@@ -84,10 +84,11 @@ class Telemetry:
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`worker_snapshot` into this session.
 
-        Counters and histograms combine exactly; gauges take the
-        snapshot value (worker label sets are unique per run, so no
-        gauge collides); spans keep worker-relative start times; trace
-        events are renumbered into this session's stream. See
+        Counters and histogram counts, buckets, min and max combine
+        exactly, a float histogram sum up to its last place; gauges
+        take the snapshot value (worker label sets are unique per run,
+        so no gauge collides); spans keep worker-relative start times;
+        trace events are renumbered into this session's stream. See
         docs/observability.md ("Merged telemetry").
         """
         if not self.enabled:

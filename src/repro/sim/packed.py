@@ -44,8 +44,8 @@ The serialized form (:meth:`to_bytes`/:meth:`from_bytes`) is a small
 struct header plus the raw little-endian columns — deterministic for a
 given stream, which makes packed traces content-addressable artifacts
 (see :func:`repro.engine.spec.trace_key`). Pickling goes through the
-same bytes, so a trace costs its serialized size on the wire to a
-process-pool worker.
+same bytes, so a trace costs its serialized size in the artifact
+cache.
 
 See docs/performance.md for the capture/replay contract.
 """
@@ -357,8 +357,8 @@ class PackedTrace:
             )
         return cls(*columns)
 
-    # Pickle through the compact form: workers and the artifact cache
-    # pay serialized size, not per-element object overhead.
+    # Pickle through the compact form: the artifact cache pays
+    # serialized size, not per-element object overhead.
 
     def __getstate__(self) -> bytes:
         return self.to_bytes()

@@ -151,8 +151,8 @@ class CapturedRun:
     """One functional execution, packed for repeated timing replays.
 
     Self-contained: replaying needs no program object, so a captured
-    run ships whole to process-pool workers and persists in the
-    artifact cache (:func:`repro.engine.spec.trace_key`).
+    run persists whole in the artifact cache
+    (:func:`repro.engine.spec.trace_key`).
     """
 
     name: str

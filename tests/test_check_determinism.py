@@ -70,23 +70,30 @@ class TestInProcessDeterminism:
 
 
 class TestEngineJobs2Determinism:
-    """`bsisa run --jobs 2` ships programs to a process pool; results
-    merged back must be bit-identical to the serial path."""
+    """`bsisa run --jobs 2` hands each program to a pool worker, which
+    compiles, captures and replays it; results merged back must be
+    bit-identical to the serial path."""
 
     SCALE = 0.05
 
     def _plan(self):
         specs = [
-            RunSpec("compress", "conventional", MachineConfig()),
-            RunSpec("compress", "block", MachineConfig()),
-            RunSpec("compress", "block", MachineConfig(perfect_bp=True)),
+            RunSpec(name, isa, config)
+            for name in ("compress", "m88ksim")
+            for isa, config in (
+                ("conventional", MachineConfig()),
+                ("block", MachineConfig()),
+                ("block", MachineConfig(perfect_bp=True)),
+            )
         ]
         return build_plan([("determinism", specs)], scale=self.SCALE)
 
     def test_parallel_pool_matches_serial(self):
         plan = self._plan()
         serial = ExperimentEngine(scale=self.SCALE).execute(plan)
-        parallel = ExperimentEngine(scale=self.SCALE, jobs=2).execute(plan)
+        engine = ExperimentEngine(scale=self.SCALE, jobs=2)
+        parallel = engine.execute(plan)
+        assert engine._traces == {}  # the pool ran
         assert serial.keys() == parallel.keys()
         for spec in plan.runs:
             assert _fields(serial[spec]) == _fields(parallel[spec]), spec
@@ -96,9 +103,9 @@ class TestEngineJobs2Determinism:
         # second engine must serve identical bits from disk.
         plan = self._plan()
         cache = ArtifactCache(tmp_path / "cache")
-        first = ExperimentEngine(
-            scale=self.SCALE, jobs=2, cache=cache
-        ).execute(plan)
+        engine = ExperimentEngine(scale=self.SCALE, jobs=2, cache=cache)
+        first = engine.execute(plan)
+        assert engine._traces == {}  # the pool ran
         second_cache = ArtifactCache(tmp_path / "cache")
         second = ExperimentEngine(
             scale=self.SCALE, cache=second_cache

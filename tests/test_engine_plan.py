@@ -8,6 +8,7 @@ two-run plan.
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -164,6 +165,19 @@ class TestEngineInputValidation:
         assert len(tel.spans) == 0
         assert len(tel.metrics) == 0
 
+    @pytest.mark.parametrize("cls", [ExperimentEngine, SuiteRunner])
+    def test_numpy_kernel_rejected_without_numpy(self, cls, monkeypatch):
+        """kernel="numpy" where numpy is not importable fails up front,
+        not at the first cold replay after a compile and a capture."""
+        from repro.sim import vector
+
+        monkeypatch.setattr(vector, "HAVE_NUMPY", False)
+        tel = Telemetry()
+        with pytest.raises(ConfigError, match="kernel 'numpy'"):
+            cls(benchmarks=["compress"], telemetry=tel, kernel="numpy")
+        assert len(tel.spans) == 0
+        assert len(tel.metrics) == 0
+
     def test_bad_kernel_rejected_with_a_warm_cache(self, tmp_path):
         """The kernel is checked up front, not at the first cold replay
         (which a warm cache never reaches)."""
@@ -266,15 +280,52 @@ class TestParallelExecution:
         parallel.execute(["fig3", "fig5", "table2"])
         assert _run_metric_entries(tel) == _run_metric_entries(serial_tel)
 
+    def test_three_program_merge_matches_serial_registry(self):
+        """Every merged series of a three-program pooled plan equals the
+        serial registry's: counters, gauges, histogram counts, buckets,
+        min and max exactly. A histogram's float sum (and so its mean)
+        may differ in the last place, because float addition is not
+        associative and a worker sums its own program's values first."""
+        benches = ["compress", "gcc", "go"]
+        experiments = ["fig3", "fig4", "fig6", "fig7", "table2"]
+        registries = []
+        for jobs in (1, 2):
+            tel = Telemetry()
+            runner = SuiteRunner(
+                scale=SCALE, benchmarks=benches, telemetry=tel, jobs=jobs
+            )
+            runner.execute(experiments)
+            assert (runner.engine._traces == {}) == (jobs == 2)
+            registries.append(
+                {
+                    (e["name"], tuple(sorted(e["labels"].items()))): e
+                    for e in tel.metrics.snapshot()
+                }
+            )
+        serial, pooled = registries
+        assert serial.keys() == pooled.keys()
+        for key, entry in serial.items():
+            got, want = dict(pooled[key]), dict(entry)
+            if want["kind"] == "histogram":
+                for field in ("sum", "mean"):
+                    assert math.isclose(
+                        got.pop(field), want.pop(field), rel_tol=1e-12
+                    ), (key, field)
+            assert got == want, key
+
     def test_parallel_merges_worker_spans(self):
         tel = Telemetry()
         runner = SuiteRunner(
-            scale=SCALE, benchmarks=["compress"], telemetry=tel, jobs=2
+            scale=SCALE, benchmarks=BENCHES, telemetry=tel, jobs=2
         )
         runner.execute(["fig3"])
+        # the workers compiled and captured: no trace reached the parent
+        assert runner.engine._traces == {}
         names = [s.name for s in tel.spans.records]
-        assert names.count("plan.run") == 2
-        assert names.count("sim.simulate") == 2
+        assert names.count("suite.compile") == 2
+        assert names.count("sim.capture") == 4
+        assert names.count("plan.run") == 4
+        assert names.count("sim.simulate") == 4
 
     def test_jobs_one_never_spawns(self, monkeypatch):
         import repro.engine.core as core
@@ -282,64 +333,58 @@ class TestParallelExecution:
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("serial path must not use the pool")
 
-        monkeypatch.setattr(core, "execute_parallel_groups", boom)
-        runner = SuiteRunner(scale=SCALE, benchmarks=["compress"], jobs=1)
+        monkeypatch.setattr(core, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(core, "_pooled_program", boom)
+        runner = SuiteRunner(scale=SCALE, benchmarks=BENCHES, jobs=1)
         runner.execute(["table2"])
+        assert len(runner.engine._traces) == 2
 
 
 # ---------------------------------------------------------------------------
-# Ship-once trace distribution (one work item per trace/config group)
+# Trace groups inside one pool work unit per program
 # ---------------------------------------------------------------------------
 
 
 class TestTraceGroupedDistribution:
     def test_effective_single_worker_runs_in_process(self, monkeypatch):
-        """jobs=2 with a single trace group: no pool may be created —
-        spawning a ProcessPoolExecutor just to feed one worker only adds
-        pickling and fork latency — and the results match a serial
-        run's."""
-        import repro.engine.executor as executor
+        """jobs=2 with one program: fig6+fig7 on compress is two trace
+        groups of one program, so no pool may be created — spawning a
+        ProcessPoolExecutor just to feed one worker only adds fork
+        latency — and the results match a serial run's."""
+        import repro.engine.core as core
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("single trace group must not spawn")
+            raise AssertionError("a single program must not spawn")
 
-        monkeypatch.setattr(executor, "ProcessPoolExecutor", boom)
-        specs = [
-            RunSpec("compress", "conventional", MachineConfig()),
-            RunSpec(
-                "compress", "conventional", MachineConfig().with_icache_kb(16)
-            ),
-        ]
-        plan = build_plan([("sweep", specs)], scale=SCALE)
+        monkeypatch.setattr(core, "ProcessPoolExecutor", boom)
         tel = Telemetry()
-        parallel = ExperimentEngine(
+        parallel = SuiteRunner(
             scale=SCALE, benchmarks=["compress"], jobs=2, telemetry=tel
         )
-        got = parallel.execute(plan)
-        want = ExperimentEngine(scale=SCALE, benchmarks=["compress"]).execute(
-            plan
-        )
-        for spec in specs:
-            assert dataclasses.asdict(got[spec]) == dataclasses.asdict(
-                want[spec]
+        plan = parallel.execute(["fig6", "fig7"])
+        serial = SuiteRunner(scale=SCALE, benchmarks=["compress"])
+        serial.execute(["fig6", "fig7"])
+        for spec in plan.runs:
+            assert dataclasses.asdict(parallel.engine.run(spec)) == (
+                dataclasses.asdict(serial.engine.run(spec))
             ), spec
-        assert tel.metrics.get("plan.sweep_groups") == 1
-        assert tel.metrics.get("plan.trace_ship_bytes") is None
+        assert tel.metrics.get("plan.sweep_groups") == 2
+        assert len(parallel.engine._traces) == 2
 
     def test_pool_grouped_results_and_counters_match_serial(self):
-        """fig6+fig7 on one benchmark: two (trace, config-group) work
-        items across a 2-process pool. Results stay bit-identical to a
-        serial run and the sweep telemetry lands on both paths; the
-        trace is shipped once per group, so ship bytes equal the two
-        packed traces — not eight."""
+        """fig6+fig7 on two benchmarks: two programs, each four
+        (trace, config-group) replays, across a 2-process pool. Results
+        stay bit-identical to a serial run and the sweep telemetry
+        lands on both paths."""
         tel = Telemetry()
         runner = SuiteRunner(
-            scale=SCALE, benchmarks=["compress"], telemetry=tel, jobs=2
+            scale=SCALE, benchmarks=BENCHES, telemetry=tel, jobs=2
         )
         plan = runner.execute(["fig6", "fig7"])
+        assert runner.engine._traces == {}  # the pool ran
         serial_tel = Telemetry()
         serial = SuiteRunner(
-            scale=SCALE, benchmarks=["compress"], telemetry=serial_tel
+            scale=SCALE, benchmarks=BENCHES, telemetry=serial_tel
         )
         serial.execute(["fig6", "fig7"])
         for spec in plan.runs:
@@ -347,16 +392,80 @@ class TestTraceGroupedDistribution:
                 dataclasses.asdict(serial.engine.run(spec))
             ), spec
         for t in (tel, serial_tel):
-            assert t.metrics.get("plan.sweep_groups") == 2
-            assert t.metrics.get("plan.trace_reuse") == 6
-            assert t.metrics.get("sweep.configs_batched") == 8
-        groups = runner.engine._sweep_groups(list(plan.runs))
-        shipped = sum(
-            runner.engine.captured_run(specs[0]).trace.nbytes
-            for specs in groups
+            assert t.metrics.get("plan.sweep_groups") == 4
+            assert t.metrics.get("plan.trace_reuse") == 12
+            assert t.metrics.get("sweep.configs_batched") == 16
+
+    def test_builders_after_pooled_execute_add_no_work(self):
+        """Every builder reads only planned specs, so after a pooled
+        execute none of them compiles, captures or replays in the
+        parent."""
+        tel = Telemetry()
+        runner = SuiteRunner(
+            scale=SCALE, benchmarks=BENCHES, telemetry=tel, jobs=2
         )
-        assert tel.metrics.get("plan.trace_ship_bytes") == shipped
-        assert serial_tel.metrics.get("plan.trace_ship_bytes") is None
+        runner.execute(list(ALL_EXPERIMENTS))
+        work = ("suite.compile", "sim.capture", "sim.derive", "plan.run")
+
+        def counts():
+            totals = tel.spans.totals()
+            return {n: totals.get(n, {}).get("count", 0) for n in work}
+
+        before = counts()
+        assert before["plan.run"] == len(BENCHES) * 2 * 5
+        for build in ALL_EXPERIMENTS.values():
+            build(runner)
+        assert counts() == before
+        assert runner.engine._pairs == {} and runner.engine._traces == {}
+
+    def test_pooled_cache_counts_match_serial(self, tmp_path):
+        """Cold then warm pooled executes on one cache root leave the
+        same ArtifactCache hit and miss counts as serial executes on a
+        separate root."""
+        plan = SuiteRunner(scale=SCALE, benchmarks=BENCHES).plan(
+            ["fig3", "fig4", "fig6"]
+        )
+        counts = {}
+        for jobs in (1, 2):
+            cache = ArtifactCache(tmp_path / f"jobs{jobs}")
+            for _ in ("cold", "warm"):
+                engine = ExperimentEngine(scale=SCALE, cache=cache, jobs=jobs)
+                engine.execute(plan)
+            counts[jobs] = (cache.hits, cache.misses)
+        assert counts[1] == counts[2]
+        assert counts[2][0] > 0 and counts[2][1] > 0
+
+    def test_pooled_compile_capture_counts_match_serial(self, tmp_path):
+        """A pooled plan's merged compile, capture and derivation spans
+        and its compile/trace cache counters equal the serial
+        registry's."""
+        plan = SuiteRunner(scale=SCALE, benchmarks=BENCHES).plan(
+            ["fig3", "fig4", "fig6"]
+        )
+        seen = {}
+        for jobs in (1, 2):
+            tel = Telemetry()
+            engine = ExperimentEngine(
+                scale=SCALE, cache=ArtifactCache(tmp_path / f"jobs{jobs}"),
+                jobs=jobs, telemetry=tel,
+            )
+            engine.execute(plan)
+            totals = tel.spans.totals()
+            seen[jobs] = (
+                {
+                    name: totals[name]["count"]
+                    for name in ("suite.compile", "sim.capture", "sim.derive")
+                },
+                {
+                    (outcome, kind): tel.metrics.get(outcome, kind=kind)
+                    for outcome in ("plan.cache_hits", "plan.cache_misses")
+                    for kind in ("compile", "trace")
+                },
+            )
+        assert seen[1] == seen[2]
+        spans, cache_counters = seen[2]
+        assert spans == {"suite.compile": 2, "sim.capture": 4, "sim.derive": 4}
+        assert cache_counters[("plan.cache_misses", "compile")] == 2
 
 
 class TestOneReplayPath:
@@ -365,21 +474,20 @@ class TestOneReplayPath:
         replay through the same function: asdict-equal results and
         equal InsightReports. The single run is a one-spec trace group,
         counted like any other."""
-        specs = EXPERIMENT_RUNS["fig3"](["compress"])
+        specs = EXPERIMENT_RUNS["fig3"](BENCHES)
         plan = build_plan([("fig3", specs)], scale=SCALE)
 
         def engine(jobs, tel=None):
             return ExperimentEngine(
-                scale=SCALE, benchmarks=["compress"], jobs=jobs,
+                scale=SCALE, benchmarks=BENCHES, jobs=jobs,
                 insight=True, telemetry=tel,
             )
 
         serial = engine(1)
         serial.execute(plan)
-        pool_tel = Telemetry()
-        pool = engine(2, pool_tel)
+        pool = engine(2)
         pool.execute(plan)
-        assert pool_tel.metrics.get("plan.trace_ship_bytes") > 0
+        assert pool._traces == {} and len(serial._traces) == 4
         for spec in plan.runs:
             tel = Telemetry()
             single = engine(1, tel)
