@@ -32,7 +32,7 @@ import pytest
 from repro.engine import ArtifactCache
 from repro.fidelity import Claim, evaluate_claim
 from repro.harness import ALL_EXPERIMENTS, SuiteRunner
-from repro.harness.cli import default_verify_scale, parse_jobs
+from repro.harness.cli import default_verify_scale, parse_count
 
 
 def bench_scale() -> float:
@@ -40,7 +40,7 @@ def bench_scale() -> float:
 
 
 def bench_jobs() -> int:
-    return parse_jobs(
+    return parse_count(
         os.environ.get("REPRO_BENCH_JOBS", "1"), "REPRO_BENCH_JOBS"
     )
 

@@ -9,6 +9,8 @@ predictable/fetch-bound; gcc: unpredictable/large code).
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 
 from repro.backend.enlarge import EnlargeConfig
@@ -19,27 +21,28 @@ from repro.sim.config import MachineConfig
 from benchmarks.conftest import bench_scale, run_once
 
 _BENCHES = ("m88ksim", "gcc")
-_conv_cycles = {}
 
 
-def conv_cycles(name):
-    if name not in _conv_cycles:
-        _conv_cycles[name] = ExperimentEngine(scale=bench_scale()).run(
-            RunSpec(name, "conventional", MachineConfig())
-        ).cycles
-    return _conv_cycles[name]
+@cache
+def _engine() -> ExperimentEngine:
+    """The one engine of every ablation. Each enlargement option rides on
+    its RunSpec, so each image is compiled once and each trace captured
+    once however many tests share it."""
+    return ExperimentEngine(scale=bench_scale())
 
 
-def block_cycles(name, enlarge: EnlargeConfig, config: MachineConfig = None):
-    engine = ExperimentEngine(
-        scale=bench_scale(), toolchain=Toolchain(enlarge=enlarge)
+def block_run(name, enlarge: EnlargeConfig, config: MachineConfig = None):
+    return _engine().run(
+        RunSpec(
+            name, "block", config or MachineConfig(),
+            toolchain=Toolchain(enlarge=enlarge),
+        )
     )
-    return engine.run(RunSpec(name, "block", config or MachineConfig()))
 
 
 def reduction(name, enlarge, config=None):
-    conv = conv_cycles(name)
-    block = block_cycles(name, enlarge, config)
+    conv = _engine().run(RunSpec(name, "conventional")).cycles
+    block = block_run(name, enlarge, config)
     return 100.0 * (conv - block.cycles) / conv, block
 
 

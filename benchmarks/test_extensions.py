@@ -3,9 +3,13 @@
 Not paper figures — these quantify the three extensions the paper
 proposes in its conclusions, using the repository's implementations:
 profile-guided enlargement, inlining, and the §3 trace-cache comparison.
+Every test runs on one engine: a compile option rides on its RunSpec, so
+each program is compiled once per option and each trace captured once.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import pytest
 
@@ -19,16 +23,17 @@ from repro.sim.tracecache import replay_with_trace_cache
 from benchmarks.conftest import bench_scale, run_once
 
 
-def _engine(toolchain: Toolchain | None = None) -> ExperimentEngine:
-    return ExperimentEngine(scale=bench_scale(), toolchain=toolchain)
+@cache
+def _engine() -> ExperimentEngine:
+    return ExperimentEngine(scale=bench_scale())
 
 
-def _results(engine: ExperimentEngine, name: str, config: MachineConfig):
-    """The conventional and BS-ISA results of *name* on *engine*."""
-    return (
-        engine.run(RunSpec(name, "conventional", config)),
-        engine.run(RunSpec(name, "block", config)),
-    )
+def _results(
+    name: str, config: MachineConfig, toolchain: Toolchain = Toolchain()
+):
+    """The conventional and BS-ISA results of *name* under *toolchain*."""
+    cmp = _engine().compare(name, config, toolchain=toolchain)
+    return cmp.conventional, cmp.block
 
 
 def test_profile_guided_enlargement_rescues_go(benchmark):
@@ -36,16 +41,19 @@ def test_profile_guided_enlargement_rescues_go(benchmark):
     for smaller enlarged atomic blocks' — go is the motivating case."""
 
     def measure():
-        plain = _engine()
-        guided = _engine(Toolchain(enlarge=EnlargeConfig(min_bias=0.8)))
+        engine = _engine()
+        guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.8))
         config = MachineConfig()
-        conv, block_plain = _results(plain, "go", config)
-        block_guided = guided.run(RunSpec("go", "block", config))
+        conv, block_plain = _results("go", config)
+        block_guided = engine.run(
+            RunSpec("go", "block", config, toolchain=guided)
+        )
+        guided_pair = engine.compiled("go", toolchain=guided)
         return {
             "plain_pct": 100 * (conv.cycles - block_plain.cycles) / conv.cycles,
             "guided_pct": 100 * (conv.cycles - block_guided.cycles) / conv.cycles,
-            "plain_code_kb": plain.compiled("go").block.code_bytes / 1024,
-            "guided_code_kb": guided.compiled("go").block.code_bytes / 1024,
+            "plain_code_kb": engine.compiled("go").block.code_bytes / 1024,
+            "guided_code_kb": guided_pair.block.code_bytes / 1024,
             "plain_misses": block_plain.timing.icache_misses,
             "guided_misses": block_guided.timing.icache_misses,
         }
@@ -71,7 +79,7 @@ def test_inlining_grows_enlarged_blocks(benchmark):
             ("plain", Toolchain()),
             ("inlined", Toolchain(inline=InlineConfig(enabled=True))),
         ):
-            conv, block = _results(_engine(toolchain), "vortex", config)
+            conv, block = _results("vortex", config, toolchain)
             out[label] = {
                 "avg_block": block.avg_block_size,
                 "reduction_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,
@@ -127,7 +135,7 @@ def test_scientific_code_outlook(benchmark):
     blocks are larger.'"""
 
     def measure():
-        conv, block = _results(_engine(), "scientific", MachineConfig())
+        conv, block = _results("scientific", MachineConfig())
         return {
             "reduction_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,
             "conv_bp": conv.bp_accuracy,
@@ -149,7 +157,7 @@ def test_dispatch_switch_workload(benchmark):
     should hold on interpreter-shaped control flow."""
 
     def measure():
-        conv, block = _results(_engine(), "dispatch", MachineConfig())
+        conv, block = _results("dispatch", MachineConfig())
         return {
             "reduction_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,
             "avg_block": block.avg_block_size,
@@ -178,7 +186,7 @@ def test_if_conversion_compounds_with_enlargement(benchmark):
             ("plain", Toolchain()),
             ("predicated", Toolchain(if_convert=IfConvertConfig(enabled=True))),
         ):
-            conv, block = _results(_engine(toolchain), "ijpeg", config)
+            conv, block = _results("ijpeg", config, toolchain)
             out[label] = {
                 "branches": conv.branch_events,
                 "reduction_pct": 100 * (conv.cycles - block.cycles) / conv.cycles,

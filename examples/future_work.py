@@ -7,6 +7,10 @@
    into a small cache; compare head-to-head with compile-time block
    enlargement.
 
+Every demo runs on one engine: a compile option is part of the run
+(``RunSpec.toolchain``), so each program is compiled once per option
+and each trace captured once.
+
 Run:  python examples/future_work.py [scale]
 """
 
@@ -22,17 +26,16 @@ from repro.sim.tracecache import replay_with_trace_cache
 from repro.workloads import parse_scale
 
 
-def profile_guided_demo(scale: float) -> None:
+def profile_guided_demo(engine: ExperimentEngine) -> None:
     print("\n--- 1. profile-guided enlargement (benchmark: go) ---")
-    plain = ExperimentEngine(scale=scale)
-    guided = ExperimentEngine(
-        scale=scale, toolchain=Toolchain(enlarge=EnlargeConfig(min_bias=0.8))
-    )
     config = MachineConfig()
-    conv = plain.run(RunSpec("go", "conventional", config))
-    for label, engine in (("unguided", plain), ("profile-guided", guided)):
-        block = engine.run(RunSpec("go", "block", config))
-        code = engine.compiled("go").block.code_bytes
+    conv = engine.run(RunSpec("go", "conventional", config))
+    for label, toolchain in (
+        ("unguided", Toolchain()),
+        ("profile-guided", Toolchain(enlarge=EnlargeConfig(min_bias=0.8))),
+    ):
+        block = engine.run(RunSpec("go", "block", config, toolchain=toolchain))
+        code = engine.compiled("go", toolchain=toolchain).block.code_bytes
         print(f"{label:16s} code={code // 1024:3d}KB "
               f"icache misses={block.timing.icache_misses:6d} "
               f"reduction={Comparison(conv, block).reduction_pct:+6.1f}%")
@@ -40,14 +43,13 @@ def profile_guided_demo(scale: float) -> None:
           "unbiased branches recovers it)")
 
 
-def inlining_demo(scale: float) -> None:
+def inlining_demo(engine: ExperimentEngine) -> None:
     print("\n--- 2. inlining (benchmark: vortex, call-heavy) ---")
     for label, toolchain in (
         ("calls kept", Toolchain()),
         ("inlined", Toolchain(inline=InlineConfig(enabled=True))),
     ):
-        engine = ExperimentEngine(scale=scale, toolchain=toolchain)
-        cmp = engine.compare("vortex")
+        cmp = engine.compare("vortex", toolchain=toolchain)
         print(f"{label:16s} avg fetched block="
               f"{cmp.block.avg_block_size:5.2f} ops "
               f"reduction={cmp.reduction_pct:+6.1f}%")
@@ -55,12 +57,11 @@ def inlining_demo(scale: float) -> None:
           "stayed at 8.2 of 16 ops)")
 
 
-def trace_cache_demo(scale: float) -> None:
+def trace_cache_demo(engine: ExperimentEngine) -> None:
     print("\n--- 3. trace cache vs block enlargement ---")
     config = MachineConfig()
     print(f"{'bench':10s} {'conv':>10s} {'conv+TC':>10s} {'BS-ISA':>10s} "
           f"{'TC hit':>8s}")
-    engine = ExperimentEngine(scale=scale)
     for name in ("m88ksim", "perl", "gcc"):
         spec = RunSpec(name, "conventional", config)
         conv = engine.run(spec)
@@ -75,14 +76,13 @@ def trace_cache_demo(scale: float) -> None:
           "see gcc)")
 
 
-def predication_demo(scale: float) -> None:
+def predication_demo(engine: ExperimentEngine) -> None:
     print("\n--- 4. predicated execution (benchmark: ijpeg) ---")
     for label, toolchain in (
         ("branches kept", Toolchain()),
         ("if-converted", Toolchain(if_convert=IfConvertConfig(enabled=True))),
     ):
-        engine = ExperimentEngine(scale=scale, toolchain=toolchain)
-        cmp = engine.compare("ijpeg")
+        cmp = engine.compare("ijpeg", toolchain=toolchain)
         print(f"{label:16s} "
               f"dynamic branches={cmp.conventional.branch_events:6d} "
               f"reduction={cmp.reduction_pct:+6.1f}%")
@@ -90,9 +90,9 @@ def predication_demo(scale: float) -> None:
           "creates larger basic blocks for enlargement to merge)")
 
 
-def scientific_demo(scale: float) -> None:
+def scientific_demo(engine: ExperimentEngine) -> None:
     print("\n--- 5. scientific code (the paper's closing prediction) ---")
-    cmp = ExperimentEngine(scale=scale).compare("scientific")
+    cmp = engine.compare("scientific")
     conv, block = cmp.conventional, cmp.block
     print(f"FP kernels: bp={conv.bp_accuracy:.3f} "
           f"avg block {conv.avg_block_size:.1f} -> {block.avg_block_size:.1f} "
@@ -106,11 +106,12 @@ def main() -> None:
         scale = parse_scale(sys.argv[1], "scale") if sys.argv[1:] else 0.5
     except ConfigError as exc:
         sys.exit(f"usage: future_work.py [scale]: {exc}")
-    profile_guided_demo(scale)
-    inlining_demo(scale)
-    trace_cache_demo(scale)
-    predication_demo(scale)
-    scientific_demo(scale)
+    engine = ExperimentEngine(scale=scale)
+    profile_guided_demo(engine)
+    inlining_demo(engine)
+    trace_cache_demo(engine)
+    predication_demo(engine)
+    scientific_demo(engine)
 
 
 if __name__ == "__main__":

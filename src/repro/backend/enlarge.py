@@ -111,7 +111,7 @@ class Variant:
         return self.blocks[-1].term
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnlargeConfig:
     """Knobs for the enlargement pass (defaults = the paper's §4.2)."""
 

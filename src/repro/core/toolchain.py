@@ -70,31 +70,30 @@ class Comparison:
         return self.conventional.outputs == self.block.outputs
 
 
+@dataclass(frozen=True)
 class Toolchain:
-    """Compiles MiniC for both ISAs."""
+    """Compiles MiniC for both ISAs.
 
-    def __init__(
-        self,
-        opt_level: int = 2,
-        enlarge: EnlargeConfig | None = None,
-        inline: InlineConfig | None = None,
-        if_convert: IfConvertConfig | None = None,
+    Frozen and hashable: its four fields are every compile option that
+    affects generated code, so a toolchain is run data. It rides on a
+    :class:`~repro.engine.spec.RunSpec`, keys the engine's memos, and
+    ``asdict`` of it is the option part of a compile key.
+    """
+
+    opt_level: int = 2
+    enlarge: EnlargeConfig = EnlargeConfig()
+    #: paper §6 future work; both off by default to match the paper
+    inline: InlineConfig = InlineConfig(enabled=False)
+    if_convert: IfConvertConfig = IfConvertConfig(enabled=False)
+
+    def compile_ir(
+        self, source: str, name: str = "program",
         telemetry: Telemetry | None = None,
-    ):
-        self.opt_level = opt_level
-        self.enlarge = enlarge or EnlargeConfig()
-        #: paper §6 future work; both off by default to match the paper
-        self.inline = inline or InlineConfig(enabled=False)
-        self.if_convert = if_convert or IfConvertConfig(enabled=False)
-        #: None = use the process-wide session (repro.obs.get_telemetry)
-        self.telemetry = telemetry
-
-    def _tel(self) -> Telemetry:
-        return self.telemetry if self.telemetry is not None else get_telemetry()
-
-    def compile_ir(self, source: str, name: str = "program") -> Module:
-        """Front end + optimizer (+ optional inlining) only."""
-        tel = self._tel()
+    ) -> Module:
+        """Front end + optimizer (+ optional inlining) only. Spans and
+        metrics go to *telemetry*, the process-wide session when None
+        (:func:`repro.obs.get_telemetry`)."""
+        tel = telemetry if telemetry is not None else get_telemetry()
         with tel.span("compile.frontend", module=name):
             module = compile_to_ir(source, name=name, telemetry=tel)
         with tel.span("compile.verify", module=name):
@@ -118,8 +117,12 @@ class Toolchain:
             verify_module(module)
         return module
 
-    def compile(self, source: str, name: str = "program") -> CompiledPair:
-        """Compile *source* for both ISAs.
+    def compile(
+        self, source: str, name: str = "program",
+        telemetry: Telemetry | None = None,
+    ) -> CompiledPair:
+        """Compile *source* for both ISAs, publishing to *telemetry* as
+        :meth:`compile_ir` does.
 
         Machine lowering and register allocation run once; both emitters
         read the same allocated functions, and the block image gets its
@@ -129,9 +132,9 @@ class Toolchain:
         refuses to fork at traps whose measured bias is below
         ``min_bias``; the conventional image is the plain one.
         """
-        tel = self._tel()
+        tel = telemetry if telemetry is not None else get_telemetry()
         with tel.span("compile", module=name):
-            module = self.compile_ir(source, name)
+            module = self.compile_ir(source, name, tel)
             with tel.span("compile.backend", module=name):
                 functions, data = lower_and_allocate(module, tel)
                 conv = conventional.emit_conventional(
@@ -177,7 +180,7 @@ def compile_block_structured(
     enlarge: EnlargeConfig | None = None,
 ) -> BlockProgram:
     """One-shot: MiniC source → BS-ISA executable."""
-    return Toolchain(opt_level, enlarge).compile(source, name).block
+    return compile_pair(source, name, opt_level, enlarge).block
 
 
 def compile_pair(
@@ -187,4 +190,6 @@ def compile_pair(
     enlarge: EnlargeConfig | None = None,
 ) -> CompiledPair:
     """One-shot: MiniC source → both executables."""
-    return Toolchain(opt_level, enlarge).compile(source, name)
+    return Toolchain(opt_level, enlarge or EnlargeConfig()).compile(
+        source, name
+    )

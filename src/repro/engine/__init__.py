@@ -21,7 +21,6 @@ from repro.engine.plan import RunPlan, build_plan
 from repro.engine.spec import (
     SCHEMA_VERSION,
     RunSpec,
-    ToolchainSpec,
     compile_key,
     config_key,
     insight_key,
@@ -35,7 +34,6 @@ __all__ = [
     "RunPlan",
     "RunSpec",
     "SCHEMA_VERSION",
-    "ToolchainSpec",
     "build_plan",
     "compile_key",
     "config_key",

@@ -8,8 +8,10 @@ session:
   :class:`~repro.engine.cache.ArtifactCache` is attached). A program is
   a registered workload at the engine's scale, or the MiniC text a
   :class:`~repro.engine.spec.RunSpec` carries as ``source`` (synthesis
-  attempts, sweep cells); memos are keyed by *(name, source)*, disk
-  keys by the source text itself;
+  attempts, sweep cells), compiled by the spec's
+  :class:`~repro.core.toolchain.Toolchain`; memos are keyed by
+  *(name, source, toolchain)*, disk keys by the source text itself and
+  every toolchain option. One engine serves every compile option;
 * **traces** — the functional executor runs at most once per
   *(program, isa, predictor-config)* group per session: the packed
   fetch-unit stream (:class:`~repro.sim.run.CapturedRun`) is memoized
@@ -25,9 +27,9 @@ session:
   participates in the key) and disk-cached by content address;
 * **plans** — :meth:`execute` takes a deduplicated
   :class:`~repro.engine.plan.RunPlan` and partitions the missing runs
-  by program *(benchmark, source)*. One program is one unit of work
-  (:meth:`ExperimentEngine._produce_program`): compile, capture, derive
-  and replay, one trace group at a time through
+  by program *(benchmark, source, toolchain)*. One program is one unit
+  of work (:meth:`ExperimentEngine._produce_program`): compile, capture,
+  derive and replay, one trace group at a time through
   :func:`~repro.engine.executor.replay_group`. Units run in-process,
   or — with ``jobs > 1`` and at least two programs missing — in a
   process pool whose workers each build their own engine; the parent
@@ -60,7 +62,6 @@ from repro.engine.plan import RunPlan
 from repro.engine.spec import (
     ISAS,
     RunSpec,
-    ToolchainSpec,
     compile_key,
     insight_key,
     run_key,
@@ -100,7 +101,6 @@ class ExperimentEngine:
         self,
         scale: float | None = None,
         benchmarks: list[str] | None = None,
-        toolchain: Toolchain | None = None,
         telemetry: Telemetry | None = None,
         cache: ArtifactCache | None = None,
         jobs: int = 1,
@@ -124,10 +124,6 @@ class ExperimentEngine:
             )
         self.benchmarks = list(benchmarks) if benchmarks else list(SUITE)
         self.telemetry = telemetry
-        if toolchain is None:
-            toolchain = Toolchain(telemetry=telemetry)
-        self.toolchain = toolchain
-        self.toolchain_spec = ToolchainSpec.from_toolchain(self.toolchain)
         self.cache = cache
         self.jobs = jobs
         #: collect an InsightReport (cycle accounting + fetch-rate
@@ -138,10 +134,10 @@ class ExperimentEngine:
         #: so cached results are kernel-independent.
         self.kernel = kernel
         self._sources: dict[str, str] = {}
-        #: keyed by program, *(name, source)*, so two programs under
-        #: one name never share an entry
-        self._pairs: dict[tuple[str, str | None], CompiledPair] = {}
-        self._compile_keys: dict[tuple[str, str | None], str] = {}
+        #: keyed by program, *(name, source, toolchain)*, so two
+        #: programs under one name never share an entry
+        self._pairs: dict[tuple, CompiledPair] = {}
+        self._compile_keys: dict[tuple, str] = {}
         self._results: dict[RunSpec, SimResult] = {}
         self._traces: dict[tuple, CapturedRun] = {}
         self._insights: dict[RunSpec, InsightReport] = {}
@@ -170,21 +166,24 @@ class ExperimentEngine:
             self._sources[name] = get_workload(name).source(self.scale)
         return self._sources[name]
 
-    def _compile_key(self, name: str, source: str | None = None) -> str | None:
-        """Disk-cache key of the compile of *name* (its registered
-        source, or *source*), or None without a cache."""
+    def _compile_key(
+        self, name: str, source: str | None = None, toolchain=Toolchain()
+    ) -> str | None:
+        """Disk-cache key of *toolchain*'s compile of *name* (its
+        registered source, or *source*), or None without a cache."""
         if self.cache is None:
             return None
-        if (name, source) not in self._compile_keys:
-            self._compile_keys[name, source] = compile_key(
-                name, self._source(name, source), self.toolchain_spec
+        memo = (name, source, toolchain)
+        if memo not in self._compile_keys:
+            self._compile_keys[memo] = compile_key(
+                name, self._source(name, source), toolchain
             )
-        return self._compile_keys[name, source]
+        return self._compile_keys[memo]
 
     def _key(self, kind: str, spec: RunSpec) -> str | None:
         """Disk-cache key of *spec*'s ``trace``, ``run`` or ``insight``
         artifact, or None without a cache."""
-        ckey = self._compile_key(spec.benchmark, spec.source)
+        ckey = self._compile_key(*_program(spec))
         if ckey is None:
             return None
         if kind == "trace":
@@ -210,17 +209,21 @@ class ExperimentEngine:
 
     # -- compiles ------------------------------------------------------
 
-    def compiled(self, name: str, source: str | None = None) -> CompiledPair:
-        """The compiled pair of *name*: its registered workload at the
-        engine's scale, or the MiniC *source* when given."""
-        memo = (name, source)
+    def compiled(
+        self, name: str, source: str | None = None, toolchain=Toolchain()
+    ) -> CompiledPair:
+        """*toolchain*'s compiled pair of *name*: its registered
+        workload at the engine's scale, or the MiniC *source* when
+        given. The compile publishes to this engine's session."""
+        memo = (name, source, toolchain)
         if memo not in self._pairs:
-            ckey = self._compile_key(name, source)
+            ckey = self._compile_key(*memo)
             pair = self._load("compile", ckey)
             if pair is None:
-                with self._tel().span("suite.compile", benchmark=name):
-                    pair = self.toolchain.compile(
-                        self._source(name, source), name
+                tel = self._tel()
+                with tel.span("suite.compile", benchmark=name):
+                    pair = toolchain.compile(
+                        self._source(name, source), name, tel
                     )
                 self._save(ckey, pair)
             self._pairs[memo] = pair
@@ -231,12 +234,13 @@ class ExperimentEngine:
     def captured_run(self, spec: RunSpec) -> CapturedRun:
         """The packed trace serving *spec*.
 
-        The memo key is *(benchmark, source, isa, predictor_key(config))*
-        — one functional execution serves every machine config of an
-        icache / latency / window sweep. A real-prediction trace comes
-        from the memo, the disk cache or a capture, counted by the tier
-        that served it. A perfect-prediction trace of either ISA is
-        derived (:func:`~repro.sim.run.derive_perfect_bp`) from the
+        The memo key is *(benchmark, source, toolchain, isa,
+        predictor_key(config))* — one functional execution serves every
+        machine config of an icache / latency / window sweep. A
+        real-prediction trace comes from the memo, the disk cache or a
+        capture, counted by the tier that served it. A perfect-prediction
+        trace of either ISA is derived
+        (:func:`~repro.sim.run.derive_perfect_bp`) from the
         real-prediction trace of the same predictor geometry; it is
         never captured or cached on its own. A block real run without a
         rollback record (a step was unproven, or the perfect machine
@@ -257,7 +261,7 @@ class ExperimentEngine:
             tkey = self._key("trace", spec)
             captured = self._load("trace", tkey)
             if captured is None:
-                pair = self.compiled(spec.benchmark, spec.source)
+                pair = self.compiled(*_program(spec))
                 captured = capture_run(
                     getattr(pair, spec.isa), spec.isa, spec.config, tel
                 )
@@ -280,6 +284,7 @@ class ExperimentEngine:
         name: str,
         config: MachineConfig | None = None,
         source: str | None = None,
+        toolchain: Toolchain = Toolchain(),
     ) -> Comparison:
         """Both ISAs' runs of one program (see :meth:`compiled`) under
         *config*, the paper's machine by default: two :meth:`run` calls,
@@ -288,7 +293,8 @@ class ExperimentEngine:
         (:meth:`captured_run`)."""
         config = config or MachineConfig()
         runs = {
-            isa: self.run(RunSpec(name, isa, config, source)) for isa in ISAS
+            isa: self.run(RunSpec(name, isa, config, source, toolchain))
+            for isa in ISAS
         }
         return Comparison(**runs)
 
@@ -331,7 +337,7 @@ class ExperimentEngine:
                 self.insight and spec not in self._insights
             ):
                 missing.append(spec)
-        programs = _partition(missing, lambda s: (s.benchmark, s.source))
+        programs = _partition(missing, _program)
         if self.jobs > 1 and len(programs) > 1:
             self._produce_pooled(programs, tel)
         else:
@@ -344,7 +350,7 @@ class ExperimentEngine:
         report)`` items.
 
         The unit of work in-process and in a pool worker alike. Group
-        key = the trace memo key *(benchmark, source, isa,
+        key = the trace memo key *(benchmark, source, toolchain, isa,
         predictor_key(config))*: every spec of a group replays the same
         :class:`CapturedRun`, so its precompute is amortized
         (:func:`~repro.engine.executor.replay_group`). Plan order is
@@ -366,10 +372,7 @@ class ExperimentEngine:
         """Produce each program in a pool worker (:func:`_pooled_program`)
         and merge the items, telemetry and cache counts in plan order."""
         root = None if self.cache is None else self.cache.root
-        settings = (
-            self.scale, self.toolchain_spec, root,
-            self.insight, self.kernel, tel.enabled,
-        )
+        settings = (self.scale, root, self.insight, self.kernel, tel.enabled)
         with ProcessPoolExecutor(min(self.jobs, len(programs))) as pool:
             futures = [
                 pool.submit(_pooled_program, settings, specs)
@@ -401,16 +404,11 @@ def _pooled_program(settings: tuple, specs: list[RunSpec]) -> tuple:
     fresh session enabled iff the parent's is, runs
     :meth:`ExperimentEngine._produce_program`. Returns the items, that
     session's snapshot and the worker cache's ``(hits, misses)``."""
-    scale, toolchain, root, insight, kernel, enabled = settings
+    scale, root, insight, kernel, enabled = settings
     tel = Telemetry(enabled=enabled, trace_capacity=WORKER_TRACE_CAPACITY)
     cache = None if root is None else ArtifactCache(root)
     engine = ExperimentEngine(
-        scale,
-        toolchain=Toolchain(
-            toolchain.opt_level, toolchain.enlarge, toolchain.inline,
-            toolchain.if_convert, tel,
-        ),
-        telemetry=tel, cache=cache, insight=insight, kernel=kernel,
+        scale, telemetry=tel, cache=cache, insight=insight, kernel=kernel
     )
     items = engine._produce_program(specs, tel)
     counts = (0, 0) if cache is None else (cache.hits, cache.misses)
@@ -426,6 +424,11 @@ def _partition(specs, key) -> list[list[RunSpec]]:
     return list(groups.values())
 
 
+def _program(spec: RunSpec) -> tuple:
+    """The identity of the program *spec* runs."""
+    return (spec.benchmark, spec.source, spec.toolchain)
+
+
 def _trace_memo(spec: RunSpec) -> tuple:
     """The identity of the trace *spec* replays."""
-    return (spec.benchmark, spec.source, spec.isa, predictor_key(spec.config))
+    return (*_program(spec), spec.isa, predictor_key(spec.config))

@@ -5,8 +5,9 @@ default-config run, Figures 6 and 7 share the perfect-icache baselines
 with each other and the 64 KB points with Figure 3. The planner makes
 that sharing explicit: it gathers each experiment's declared
 :class:`~repro.engine.spec.RunSpec` list, deduplicates by spec identity
-(the full machine config), and produces a :class:`RunPlan` whose
-``runs_total``/``runs_deduped`` pair quantifies the saved work.
+(the full machine config and toolchain), and produces a
+:class:`RunPlan` whose ``runs_total``/``runs_deduped`` pair quantifies
+the saved work.
 """
 
 from __future__ import annotations

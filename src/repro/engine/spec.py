@@ -1,20 +1,21 @@
-"""Run/compile specifications and their canonical cache keys.
+"""Run specifications and their canonical cache keys.
 
 A :class:`RunSpec` names one simulation — *(benchmark, isa, machine
 config)*, plus the program's source text when it is not the registered
-workload — declaratively, so experiments can state the runs they need
-up front instead of performing them imperatively. Specs are frozen and
-hashable over the **entire** :class:`MachineConfig`, which makes them
-the deduplication unit of a :class:`~repro.engine.plan.RunPlan` and the
+workload and the compile options when they are not the paper's —
+declaratively, so experiments can state the runs they need up front
+instead of performing them imperatively. Specs are frozen and hashable
+over the **entire** :class:`MachineConfig` and
+:class:`~repro.core.toolchain.Toolchain`, which makes them the
+deduplication unit of a :class:`~repro.engine.plan.RunPlan` and the
 memo key of the engine (two configs differing in any field — e.g. only
 ``mispredict_penalty`` — are distinct runs).
 
-A :class:`ToolchainSpec` captures every compilation option that affects
-generated code, so compiled artifacts can be keyed by content: the
-cache key of a compile is a digest over the workload source text, the
-toolchain options, and :data:`SCHEMA_VERSION`; the key of a run adds
-the ISA and the full machine config. Bumping :data:`SCHEMA_VERSION`
-invalidates every on-disk artifact at once (the rules are documented in
+Compiled artifacts are keyed by content: the cache key of a compile is
+a digest over the workload source text, every ``Toolchain`` option and
+:data:`SCHEMA_VERSION`; the key of a run adds the ISA and the full
+machine config. Bumping :data:`SCHEMA_VERSION` invalidates every
+on-disk artifact at once (the rules are documented in
 docs/experiment-engine.md).
 """
 
@@ -24,10 +25,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
 
-from repro.backend import EnlargeConfig
 from repro.core.toolchain import Toolchain
 from repro.errors import ConfigError
-from repro.opt import IfConvertConfig, InlineConfig
 from repro.sim.config import MachineConfig
 
 #: Version of the cached-artifact layout. Bump when SimResult,
@@ -41,7 +40,8 @@ ISAS = ("conventional", "block")
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One required simulation: benchmark × ISA × full machine config."""
+    """One required simulation: benchmark × ISA × full machine config,
+    compiled by *toolchain*."""
 
     benchmark: str
     isa: str
@@ -50,6 +50,9 @@ class RunSpec:
     #: *benchmark* at the engine's scale (a synthesis attempt, a sweep
     #: cell); part of the run's identity, never of its labels
     source: str | None = field(default=None, repr=False)
+    #: the compile options (the paper's by default); like *source*, part
+    #: of the run's identity, never of its labels
+    toolchain: Toolchain = Toolchain()
 
     def __post_init__(self):
         if self.isa not in ISAS:
@@ -60,37 +63,6 @@ class RunSpec:
     def labels(self) -> dict[str, str]:
         """Telemetry labels identifying this run."""
         return {"benchmark": self.benchmark, "isa": self.isa}
-
-
-@dataclass(frozen=True)
-class ToolchainSpec:
-    """Every compilation option that affects generated code."""
-
-    opt_level: int = 2
-    enlarge: EnlargeConfig = field(default_factory=EnlargeConfig)
-    inline: InlineConfig = field(
-        default_factory=lambda: InlineConfig(enabled=False)
-    )
-    if_convert: IfConvertConfig = field(
-        default_factory=lambda: IfConvertConfig(enabled=False)
-    )
-
-    @classmethod
-    def from_toolchain(cls, toolchain: Toolchain) -> "ToolchainSpec":
-        return cls(
-            opt_level=toolchain.opt_level,
-            enlarge=toolchain.enlarge,
-            inline=toolchain.inline,
-            if_convert=toolchain.if_convert,
-        )
-
-    def canonical(self) -> dict:
-        return {
-            "opt_level": self.opt_level,
-            "enlarge": asdict(self.enlarge),
-            "inline": asdict(self.inline),
-            "if_convert": asdict(self.if_convert),
-        }
 
 
 def canonical_json(obj) -> str:
@@ -109,35 +81,28 @@ def config_key(config: MachineConfig) -> str:
     return _digest(canonical_json(config))
 
 
-def compile_key(
-    benchmark: str, source: str, toolchain: ToolchainSpec
-) -> str:
-    """Content address of one compiled pair."""
+def _artifact_key(kind: str, **identity) -> str:
+    """Digest of one artifact's *identity* under its *kind* and
+    :data:`SCHEMA_VERSION`."""
     return _digest(
-        canonical_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "compile",
-                "benchmark": benchmark,
-                "source_sha": _digest(source),
-                "toolchain": toolchain.canonical(),
-            }
-        )
+        canonical_json({"schema": SCHEMA_VERSION, "kind": kind, **identity})
+    )
+
+
+def compile_key(benchmark: str, source: str, toolchain: Toolchain) -> str:
+    """Content address of one compiled pair."""
+    return _artifact_key(
+        "compile",
+        benchmark=benchmark,
+        source_sha=_digest(source),
+        toolchain=asdict(toolchain),
     )
 
 
 def run_key(compile_digest: str, spec: RunSpec) -> str:
     """Content address of one simulation result (compile key + run spec)."""
-    return _digest(
-        canonical_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "run",
-                "compile": compile_digest,
-                "isa": spec.isa,
-                "config": asdict(spec.config),
-            }
-        )
+    return _artifact_key(
+        "run", compile=compile_digest, isa=spec.isa, config=asdict(spec.config)
     )
 
 
@@ -149,16 +114,11 @@ def insight_key(compile_digest: str, spec: RunSpec) -> str:
     sessions pay nothing and enabling insight later only replays runs
     whose reports are missing.
     """
-    return _digest(
-        canonical_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "insight",
-                "compile": compile_digest,
-                "isa": spec.isa,
-                "config": asdict(spec.config),
-            }
-        )
+    return _artifact_key(
+        "insight",
+        compile=compile_digest,
+        isa=spec.isa,
+        config=asdict(spec.config),
     )
 
 
@@ -181,14 +141,6 @@ def trace_key(compile_digest: str, isa: str, config: MachineConfig) -> str:
             "bp_history_bits": config.bp_history_bits,
             "bp_table_bits": config.bp_table_bits,
         }
-    return _digest(
-        canonical_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "trace",
-                "compile": compile_digest,
-                "isa": isa,
-                "predictor": predictor,
-            }
-        )
+    return _artifact_key(
+        "trace", compile=compile_digest, isa=isa, predictor=predictor
     )

@@ -94,32 +94,38 @@ def default_verify_scale() -> float:
     )
 
 
-def _scale_arg(text: str) -> float:
-    """argparse type of every ``--scale``: a positive finite float."""
-    try:
-        return parse_scale(text, "scale")
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def parse_jobs(raw: str, what: str) -> int:
-    """*raw* as a worker count: an integer of at least 1, else a
+def parse_count(raw: str, what: str, least: int = 1) -> int:
+    """*raw* as an integer of at least *least*, else a
     :class:`ConfigError` naming *what*."""
     try:
-        jobs = int(raw)
+        value = int(raw)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ConfigError(f"{what} must be an integer >= 1, got {raw!r}")
-    return jobs
+        value = least - 1
+    if value < least:
+        raise ConfigError(
+            f"{what} must be an integer >= {least}, got {raw!r}"
+        )
+    return value
 
 
-def _jobs_arg(text: str) -> int:
-    """argparse type of every ``--jobs``: an integer of at least 1."""
-    try:
-        return parse_jobs(text, "jobs")
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg_type(parse, what: str, *args):
+    """argparse type of an option whose value ``parse(text, what,
+    *args)`` checks: its :class:`ConfigError` becomes a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text, what, *args)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+_scale_arg = _arg_type(parse_scale, "scale")
+_jobs_arg = _arg_type(parse_count, "jobs")
+_icache_kb_arg = _arg_type(parse_count, "icache-kb")
+#: the event ring of ``timeline`` and ``trace``: may be empty
+_capacity_arg = _arg_type(parse_count, "capacity", 0)
 
 
 def _kernel_usage_error(args) -> bool:
@@ -354,24 +360,22 @@ def _simulate_pair(args, tel: Telemetry | None) -> Comparison:
     """Shared engine path for simulate/metrics/trace: both ISAs' runs of
     one workload, and under ``--trace-cache`` its conventional capture
     replayed again behind a trace cache."""
+    engine = ExperimentEngine(scale=args.scale, telemetry=tel)
     # paper §6: no duplication across traps less than 75% biased
     guided = getattr(args, "profile_guided", False)
-    engine = ExperimentEngine(
-        scale=args.scale,
-        toolchain=Toolchain(
-            enlarge=EnlargeConfig(min_bias=0.75) if guided else None,
-            telemetry=tel,
-        ),
-        telemetry=tel,
+    toolchain = Toolchain(
+        enlarge=EnlargeConfig(min_bias=0.75 if guided else None)
     )
     config = MachineConfig(
         perfect_bp=getattr(args, "perfect_bp", False)
     ).with_icache_kb(getattr(args, "icache_kb", 64))
-    cmp = engine.compare(args.workload, config)
+    cmp = engine.compare(args.workload, config, toolchain=toolchain)
     if getattr(args, "trace_cache", False):
         from repro.sim.tracecache import replay_with_trace_cache
 
-        conv_spec = RunSpec(args.workload, "conventional", config)
+        conv_spec = RunSpec(
+            args.workload, "conventional", config, toolchain=toolchain
+        )
         replay_with_trace_cache(
             engine.captured_run(conv_spec), config, telemetry=tel
         )
@@ -1003,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="profile-guided enlargement (paper §6 extension)",
     )
-    simp.add_argument("--icache-kb", type=int, default=64)
+    simp.add_argument("--icache-kb", type=_icache_kb_arg, default=64)
     simp.add_argument(
         "--metrics-json",
         metavar="PATH",
@@ -1017,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
     metr.add_argument("workload", choices=ALL_WORKLOADS)
     metr.add_argument("--scale", type=_scale_arg, default=1.0)
     metr.add_argument("--perfect-bp", action="store_true")
-    metr.add_argument("--icache-kb", type=int, default=64)
+    metr.add_argument("--icache-kb", type=_icache_kb_arg, default=64)
     metr.add_argument(
         "--trace-cache",
         action="store_true",
@@ -1083,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--scale", type=_scale_arg, default=1.0)
     analyze.add_argument("--perfect-bp", action="store_true")
-    analyze.add_argument("--icache-kb", type=int, default=64)
+    analyze.add_argument("--icache-kb", type=_icache_kb_arg, default=64)
     analyze.add_argument(
         "-o",
         "--output",
@@ -1109,9 +1113,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline.add_argument("--scale", type=_scale_arg, default=1.0)
     timeline.add_argument("--perfect-bp", action="store_true")
-    timeline.add_argument("--icache-kb", type=int, default=64)
+    timeline.add_argument("--icache-kb", type=_icache_kb_arg, default=64)
     timeline.add_argument(
-        "--capacity", type=int, default=4096, help="ring-buffer size"
+        "--capacity", type=_capacity_arg, default=4096, help="ring-buffer size"
     )
     timeline.add_argument(
         "--limit", type=int, default=64,
@@ -1125,9 +1129,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("workload", choices=ALL_WORKLOADS)
     trace.add_argument("--scale", type=_scale_arg, default=1.0)
     trace.add_argument("--perfect-bp", action="store_true")
-    trace.add_argument("--icache-kb", type=int, default=64)
+    trace.add_argument("--icache-kb", type=_icache_kb_arg, default=64)
     trace.add_argument(
-        "--capacity", type=int, default=4096, help="ring-buffer size"
+        "--capacity", type=_capacity_arg, default=4096, help="ring-buffer size"
     )
     trace.add_argument(
         "--limit", type=int, default=32,
@@ -1264,7 +1268,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hot-footprint targets in KB (default: 4 16)",
     )
     scen_sweep.add_argument(
-        "--icache-kb", type=int, nargs="+", default=[4, 16, 64],
+        "--icache-kb", type=_icache_kb_arg, nargs="+", default=[4, 16, 64],
         metavar="KB",
         help="icache sizes replayed per cell, batched (default: 4 16 64)",
     )

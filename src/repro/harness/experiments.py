@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.toolchain import CompiledPair, Toolchain
+from repro.core.toolchain import CompiledPair
 from repro.engine import (
     ArtifactCache,
     ExperimentEngine,
@@ -79,7 +79,6 @@ class SuiteRunner:
         self,
         scale: float | None = None,
         benchmarks: list[str] | None = None,
-        toolchain: Toolchain | None = None,
         telemetry: Telemetry | None = None,
         jobs: int = 1,
         cache: ArtifactCache | None = None,
@@ -89,7 +88,6 @@ class SuiteRunner:
         self.engine = ExperimentEngine(
             scale=scale,
             benchmarks=benchmarks,
-            toolchain=toolchain,
             telemetry=telemetry,
             cache=cache,
             jobs=jobs,
@@ -113,10 +111,6 @@ class SuiteRunner:
     @property
     def telemetry(self) -> Telemetry | None:
         return self.engine.telemetry
-
-    @property
-    def toolchain(self) -> Toolchain:
-        return self.engine.toolchain
 
     def pair(self, name: str) -> CompiledPair:
         return self.engine.compiled(name)

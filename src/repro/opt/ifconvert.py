@@ -42,7 +42,7 @@ from repro.ir.structure import BasicBlock, Function
 _PURE_HOISTABLE = (Bin, Un, Const, Copy, GlobalAddr, FrameAddr, Select)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IfConvertConfig:
     enabled: bool = True
     #: max instructions per hoisted arm

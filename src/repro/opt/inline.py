@@ -36,7 +36,7 @@ from repro.ir.instructions import (
 from repro.ir.structure import BasicBlock, Function, Module
 
 
-@dataclass
+@dataclass(frozen=True)
 class InlineConfig:
     """Inlining policy knobs."""
 

@@ -8,9 +8,18 @@ icache varied 16–64 KB (4-way), Two-Level Adaptive branch prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
+
+
+def _check_minimums(config, minimums: dict[str, int]) -> None:
+    """Raise :class:`ConfigError` naming the first field of *config*
+    below its minimum in *minimums*."""
+    for name, least in minimums.items():
+        value = getattr(config, name)
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -22,6 +31,7 @@ class CacheConfig:
     line_bytes: int = 64
 
     def __post_init__(self):
+        _check_minimums(self, {"size_bytes": 1, "assoc": 1, "line_bytes": 1})
         if self.size_bytes % (self.assoc * self.line_bytes):
             raise ConfigError(
                 f"cache size {self.size_bytes} not divisible by "
@@ -31,6 +41,20 @@ class CacheConfig:
     @property
     def num_sets(self) -> int:
         return self.size_bytes // (self.assoc * self.line_bytes)
+
+
+#: the least value of each checked MachineConfig field: below it a
+#: replay hangs or fails deep inside, or returns too few cycles silently
+_MACHINE_MINIMUMS = {
+    "fu_count": 1,
+    "window_ops": 1,
+    "window_blocks": 1,
+    "retire_width": 1,
+    "fetch_lines": 1,
+    "frontend_depth": 0,
+    "mispredict_penalty": 0,
+    "l2_latency": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -50,12 +74,8 @@ class MachineConfig:
     mispredict_penalty: int = 2
     #: L2 access time (both caches; L2 itself is perfect) — paper: 6
     l2_latency: int = 6
-    icache: CacheConfig | None = field(
-        default_factory=lambda: CacheConfig(64 * 1024, 4)
-    )
-    dcache: CacheConfig | None = field(
-        default_factory=lambda: CacheConfig(16 * 1024, 4)
-    )
+    icache: CacheConfig | None = CacheConfig(64 * 1024, 4)
+    dcache: CacheConfig | None = CacheConfig(16 * 1024, 4)
     #: perfect branch/block prediction (Figure 4)
     perfect_bp: bool = False
     #: conventional-predictor geometry
@@ -63,6 +83,8 @@ class MachineConfig:
     bp_table_bits: int = 14
 
     def __post_init__(self):
+        # issue_width is read by no code, so it is not checked
+        _check_minimums(self, _MACHINE_MINIMUMS)
         # Checked even under perfect prediction: the perfect conventional
         # stream is derived from the real one captured at this geometry.
         if not 0 <= self.bp_history_bits <= self.bp_table_bits:

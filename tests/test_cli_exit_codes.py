@@ -16,6 +16,7 @@ from repro import fidelity
 from repro.errors import ConfigError
 from repro.harness import cli
 from repro.harness.cli import main
+from repro.obs import use_telemetry
 from repro.obs.schema import fidelity_document_errors
 
 FAST_VERIFY = ["--scale", "0.02", "--benchmarks", "compress", "--no-cache"]
@@ -78,6 +79,33 @@ def _usage_error(argv, capsys) -> str:
 def test_bad_scale_exits_2(argv, bad, capsys):
     line = _usage_error([*argv, "--scale", bad], capsys)
     assert "argument --scale: scale must be" in line
+
+
+@pytest.mark.parametrize("bad", ["0", "-4", "x", "1.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "compress"],
+        ["metrics", "compress"],
+        ["analyze"],
+        ["timeline", "compress"],
+        ["trace", "compress"],
+        ["scenarios", "sweep"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_bad_icache_kb_exits_2_before_any_compile(argv, bad, capsys):
+    with use_telemetry() as tel:
+        line = _usage_error([*argv, "--icache-kb", bad], capsys)
+    assert "argument --icache-kb: icache-kb must be an integer >= 1" in line
+    assert len(tel.spans) == 0
+
+
+@pytest.mark.parametrize("bad", ["-1", "x"])
+@pytest.mark.parametrize("command", ["timeline", "trace"])
+def test_bad_capacity_exits_2(command, bad, capsys):
+    line = _usage_error([command, "compress", "--capacity", bad], capsys)
+    assert "argument --capacity: capacity must be an integer >= 0" in line
 
 
 @pytest.mark.parametrize("bad", ["0", "-2", "x", "1.5"])

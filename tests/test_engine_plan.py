@@ -19,19 +19,26 @@ from repro.engine import (
     ArtifactCache,
     ExperimentEngine,
     RunSpec,
-    ToolchainSpec,
     build_plan,
     compile_key,
     config_key,
     run_key,
 )
+from repro.engine.spec import ISAS
 from repro.errors import ConfigError, TelemetryError
 from repro.harness import ALL_EXPERIMENTS, EXPERIMENT_RUNS, SuiteRunner
-from repro.obs import Telemetry
+from repro.obs import Telemetry, use_telemetry
+from repro.opt import IfConvertConfig, InlineConfig
 from repro.sim.config import MachineConfig
 from repro.sim.engine import TimingStats
 from repro.sim.run import SimResult, capture_run, replay_captured
 from repro.workloads import SUITE
+
+from tests.test_cache_keys import (
+    DEFAULT_COMPILE_KEY,
+    GUIDED_COMPILE_KEY,
+    SOURCE,
+)
 
 SCALE = 0.05
 BENCHES = ["compress", "m88ksim"]
@@ -84,7 +91,7 @@ class TestRunSpec:
             assert config_key(changed) != config_key(base)
 
     def test_run_key_distinguishes_isa_and_config(self):
-        ckey = compile_key("compress", "src", ToolchainSpec())
+        ckey = compile_key("compress", "src", Toolchain())
         conv = run_key(ckey, RunSpec("compress", "conventional"))
         block = run_key(ckey, RunSpec("compress", "block"))
         tweaked = run_key(
@@ -94,11 +101,11 @@ class TestRunSpec:
         assert len({conv, block, tweaked}) == 3
 
     def test_compile_key_covers_source_and_toolchain(self):
-        spec = ToolchainSpec()
-        base = compile_key("compress", "int main() {}", spec)
-        assert compile_key("compress", "int main() { }", spec) != base
+        toolchain = Toolchain()
+        base = compile_key("compress", "int main() {}", toolchain)
+        assert compile_key("compress", "int main() { }", toolchain) != base
         assert (
-            compile_key("compress", "int main() {}", ToolchainSpec(opt_level=0))
+            compile_key("compress", "int main() {}", Toolchain(opt_level=0))
             != base
         )
 
@@ -561,7 +568,7 @@ class TestSourceCarryingSpecs:
             cache=ArtifactCache(tmp_path),
         )
         assert engine._compile_key("compress", text) == compile_key(
-            "compress", text, ToolchainSpec()
+            "compress", text, Toolchain()
         ) == engine._compile_key("compress")
         for kind in ("trace", "run", "insight"):
             assert engine._key(kind, carried) == engine._key(kind, named)
@@ -581,6 +588,121 @@ class TestSourceCarryingSpecs:
         assert tel.metrics.get("plan.cache_hits", kind="trace") == 1
         assert tel.metrics.get("plan.trace_captures") is None
         assert "suite.compile" not in tel.spans.totals()
+
+
+# ---------------------------------------------------------------------------
+# Compile options carried by the spec
+# ---------------------------------------------------------------------------
+
+#: a non-default toolchain whose block image differs from the paper's
+SMALL_BLOCKS = Toolchain(enlarge=EnlargeConfig(max_ops=8))
+#: span name prefixes of every compiler layer
+COMPILE_SPANS = ("compile", "frontend.", "opt.", "backend.")
+
+
+class TestToolchainCarryingSpecs:
+    def test_toolchain_and_options_are_frozen_hashable_data(self):
+        assert [f.name for f in dataclasses.fields(Toolchain)] == [
+            "opt_level", "enlarge", "inline", "if_convert",
+        ]
+        for value in (
+            Toolchain(), EnlargeConfig(), InlineConfig(), IfConvertConfig()
+        ):
+            assert hash(value) == hash(dataclasses.replace(value))
+            name = dataclasses.fields(value)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+        assert Toolchain(enlarge=EnlargeConfig()) == Toolchain()
+        spec = RunSpec("compress", "block", toolchain=SMALL_BLOCKS)
+        assert spec != RunSpec("compress", "block")
+        assert spec.labels() == RunSpec("compress", "block").labels()
+
+    def test_toolchain_keys_equal_the_pinned_keys(self):
+        guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.75))
+        assert compile_key("compress", SOURCE, Toolchain()) == (
+            DEFAULT_COMPILE_KEY
+        )
+        assert compile_key("compress", SOURCE, guided) == GUIDED_COMPILE_KEY
+
+    def test_one_engine_keeps_one_program_per_toolchain(self, tmp_path):
+        engine = ExperimentEngine(scale=SCALE, cache=ArtifactCache(tmp_path))
+        specs = [
+            RunSpec("compress", "block", toolchain=toolchain)
+            for toolchain in (Toolchain(), SMALL_BLOCKS)
+        ]
+        results = [engine.run(spec) for spec in specs]
+        assert len(engine._pairs) == 2
+        assert len(engine._compile_keys) == 2
+        assert len(engine._traces) == 2
+        assert results[0].cycles != results[1].cycles
+        for spec, result in zip(specs, results):
+            alone = ExperimentEngine(scale=SCALE).run(spec)
+            assert dataclasses.asdict(result) == dataclasses.asdict(alone)
+
+    def test_two_toolchain_plan_pools_like_serial(self, tmp_path):
+        """One benchmark under two toolchains is two programs, so
+        ``jobs=2`` starts a pool; results, compile and capture spans and
+        cache counters equal a serial engine's."""
+        import repro.engine.core as core
+
+        plan = build_plan(
+            [(
+                "toolchains",
+                [
+                    RunSpec("compress", isa, toolchain=toolchain)
+                    for toolchain in (Toolchain(), SMALL_BLOCKS)
+                    for isa in ISAS
+                ],
+            )],
+            scale=SCALE,
+        )
+        assert len(core._partition(plan.runs, core._program)) == 2
+        seen = {}
+        for jobs in (1, 2):
+            tel = Telemetry()
+            engine = ExperimentEngine(
+                scale=SCALE, cache=ArtifactCache(tmp_path / f"jobs{jobs}"),
+                jobs=jobs, telemetry=tel,
+            )
+            results = engine.execute(plan)
+            # the workers captured: no trace reached the parent
+            assert (engine._traces == {}) == (jobs == 2)
+            totals = tel.spans.totals()
+            seen[jobs] = (
+                {s: dataclasses.asdict(r) for s, r in results.items()},
+                {
+                    name: totals[name]["count"]
+                    for name in ("suite.compile", "sim.capture")
+                },
+                {
+                    (outcome, kind): tel.metrics.get(outcome, kind=kind)
+                    for outcome in ("plan.cache_hits", "plan.cache_misses")
+                    for kind in ("run", "compile", "trace")
+                },
+            )
+        assert seen[1] == seen[2]
+        assert seen[2][1] == {"suite.compile": 2, "sim.capture": 4}
+
+    def test_compile_spans_land_in_the_engine_session(self):
+        """A non-default toolchain compiles into the engine's own
+        session: every compiler-layer span a direct compile records is
+        there, and the process-wide session records nothing."""
+        reference = Telemetry()
+        SMALL_BLOCKS.compile(
+            SUITE["compress"].source(SCALE), "compress", reference
+        )
+        layers = {
+            name for name in reference.spans.totals()
+            if name.startswith(COMPILE_SPANS)
+        }
+        assert {"compile", "frontend.parse", "backend.enlarge"} <= layers
+        own = Telemetry()
+        with use_telemetry() as ambient:
+            ExperimentEngine(scale=SCALE, telemetry=own).run(
+                RunSpec("compress", "block", toolchain=SMALL_BLOCKS)
+            )
+        assert layers | {"suite.compile"} <= set(own.spans.totals())
+        assert ambient.spans.totals() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -661,16 +783,14 @@ class TestArtifactCache:
         key covers ``min_bias``, and a second session is served its
         compile and its run from disk."""
         guided = Toolchain(enlarge=EnlargeConfig(min_bias=0.9))
-        spec = ToolchainSpec.from_toolchain(guided)
-        assert compile_key("compress", "x", spec) != compile_key(
-            "compress", "x", ToolchainSpec()
+        assert compile_key("compress", "x", guided) != compile_key(
+            "compress", "x", Toolchain()
         )
-        run = RunSpec("compress", "block")
+        run = RunSpec("compress", "block", toolchain=guided)
 
         def session(tel=None) -> ExperimentEngine:
             return ExperimentEngine(
-                scale=SCALE, toolchain=guided, telemetry=tel,
-                cache=ArtifactCache(tmp_path),
+                scale=SCALE, telemetry=tel, cache=ArtifactCache(tmp_path)
             )
 
         first = session().run(run)
@@ -679,7 +799,7 @@ class TestArtifactCache:
         assert dataclasses.asdict(engine.run(run)) == dataclasses.asdict(
             first
         )
-        engine.compiled("compress")
+        engine.compiled("compress", toolchain=guided)
         assert tel.metrics.get("plan.cache_hits", kind="run") == 1
         assert tel.metrics.get("plan.cache_hits", kind="compile") == 1
         assert not [s for s in tel.spans.records if s.name == "compile"]

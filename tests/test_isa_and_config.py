@@ -124,6 +124,44 @@ def test_machine_config_rejects_impossible_predictor_geometry(perfect):
         MachineConfig(bp_history_bits=bits, perfect_bp=perfect)
 
 
+@pytest.mark.parametrize(
+    "field, least",
+    [
+        ("fu_count", 1),
+        ("window_ops", 1),
+        ("window_blocks", 1),
+        ("retire_width", 1),
+        ("fetch_lines", 1),
+        ("frontend_depth", 0),
+        ("mispredict_penalty", 0),
+        ("l2_latency", 0),
+    ],
+)
+def test_machine_config_rejects_out_of_range_fields(field, least):
+    bad = least - 3
+    with pytest.raises(
+        ConfigError, match=f"^{field} must be >= {least}, got {bad}$"
+    ):
+        MachineConfig(**{field: bad})
+    with pytest.raises(ConfigError, match=f"^{field} must be >= {least}"):
+        MachineConfig(**{field: least - 1})
+    assert getattr(MachineConfig(**{field: least}), field) == least
+
+
+@pytest.mark.parametrize(
+    "geometry, field",
+    [
+        ((4096, 0), "assoc"),
+        ((0, 4), "size_bytes"),
+        ((-4096, 4), "size_bytes"),
+        ((4096, 4, 0), "line_bytes"),
+    ],
+)
+def test_cache_config_rejects_empty_geometry(geometry, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got "):
+        CacheConfig(*geometry)
+
+
 def test_machine_config_paper_defaults():
     config = MachineConfig()
     assert config.issue_width == 16

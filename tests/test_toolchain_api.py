@@ -89,9 +89,11 @@ def test_compare_derives_perfect_prediction():
 
 def test_toolchain_opt_levels_same_outputs():
     results = {}
+    engine = ExperimentEngine()
     for level in (0, 1, 2):
-        engine = ExperimentEngine(toolchain=Toolchain(opt_level=level))
-        cmp = engine.compare(f"lv{level}", source=SMALL)
+        cmp = engine.compare(
+            "small", source=SMALL, toolchain=Toolchain(opt_level=level)
+        )
         results[level] = (
             cmp.conventional.outputs,
             cmp.conventional.committed_ops,
